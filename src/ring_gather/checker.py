@@ -13,6 +13,7 @@ O(1) phase-2 lemmas, 3·k actions for the per-round-progress ones.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -34,7 +35,16 @@ from .protocol import (
     enabled_moves,
     phase_of,
 )
-from .simulate import Trace, TraceEvent, builtin_scheduler, run, _canon_of, _tag_of
+from .simulate import (
+    Trace,
+    TraceEvent,
+    builtin_scheduler,
+    intent_is_incorrect,
+    run,
+    validate_params,
+    _canon_of,
+    _tag_of,
+)
 
 
 def _clear_all_caches():
@@ -76,16 +86,9 @@ def enumerate_initial_configs(n: int, k: int, relaxed: bool = False):
     towerless, non-periodic k-robot configurations on an n-ring, as
     canonical `RingConfig`s, in a deterministic order."""
     if not relaxed:
-        if k % 2 != 0:
-            raise ValueError("k even required")
-        if k <= 8:
-            raise ValueError("k>8 required")
-        if n % 2 != 1:
-            raise ValueError("n odd required")
-        if n <= k + 3:
-            raise ValueError("n>k+3 required")
+        validate_params(n, k)
     if k < 1 or k > n:
-        raise ValueError("k must be between 1 and n")
+        raise ValueError("constraint violated: k must be between 1 and n")
     seen = set()
     # every class has a representative with a robot on node 0
     for rest in itertools.combinations(range(1, n), k - 1):
@@ -160,28 +163,13 @@ class _Replay:
             return "no-rule"
 
     def incorrect_pending(self):
-        """Robots holding a stale *move* whose fresh decision differs.
-
-        A pending Stay is harmless (firing it changes nothing and the robot
-        then re-observes), so only intents with a target destination can be
-        outdated with an incorrect target.
-        """
+        """Robots whose pending intent is incorrect (`intent_is_incorrect`)."""
         cfg = RingConfig(self.n, tuple(self.occ))
-        out = []
-        for robot, (node, target) in self.pending.items():
-            if target is None:
-                continue
-            try:
-                now = decide_targets(cfg, node)
-            except NoRuleError:
-                now = "no-rule"
-            if _norm(now) != _norm(target):
-                out.append(robot)
-        return out
-
-
-def _norm(t):
-    return tuple(sorted(t)) if isinstance(t, tuple) else t
+        return [
+            robot
+            for robot, (node, target) in self.pending.items()
+            if intent_is_incorrect(cfg, node, target)
+        ]
 
 
 def replay_trace(trace: Trace) -> Verdict:
@@ -316,7 +304,7 @@ def _initial_event(trace: Trace):
 
 
 # ---------------------------------------------------------------------------
-# bounded exhaustive exploration (the "exhaustive scheduler")
+# exhaustive exploration of scheduler choices
 # ---------------------------------------------------------------------------
 
 
@@ -385,60 +373,88 @@ def successor_configs(cfg: RingConfig, depth: int = 1):
     return {RingConfig(cfg.n, occ) for occ in out}
 
 
-def check_all_paths_gather(cfg: RingConfig, max_states: int = 200_000) -> Verdict:
-    """Explore EVERY scheduler choice from `cfg` and demand that each
-    branch ends gathered.  Every explored action moves a robot eventually
-    (stale Stay cycles never change configurations and are omitted), so the
-    search is finite; a branch that reaches a state with no applicable rule
-    fails, as does exceeding the state budget."""
-    n = cfg.n
-    proven: set[_XState] = set()
-    failure: list[Verdict] = []
+def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
+               max_states: int | None = None) -> Verdict:
+    """Depth-first search over every scheduler choice from `start`.
 
-    def gathered(state: _XState) -> bool:
-        return sum(1 for c in state.occ if c) == 1
+    `leaf(state, depth)` judges a state reached after `depth` actions before
+    it is expanded: a verdict ends the branch there (a failing one ends the
+    search), None expands the state.  A state with no successor, or with no
+    applicable rule, fails with `dead_end(state, depth)`.  A state met again
+    on the current branch fails too, since a scheduler could repeat that
+    cycle forever; without this check the stack would grow without end.
 
-    def walk(state: _XState) -> bool:
-        if state in proven:
-            return True
-        if gathered(state):
-            proven.add(state)
-            return True
-        if len(proven) >= max_states:
-            failure.append(
-                Verdict.fail(None, f"state budget {max_states} exceeded", None)
+    The memo maps each state to the largest remaining action budget it was
+    proven for; `budget` is unbounded for a search that runs until every
+    branch ends.  `max_states` caps the memo's size.
+    """
+    memo: dict[_XState, float] = {}
+    on_path: set[_XState] = set()
+    stack: list = []  # (state, its successor iterator) for each state on the path
+
+    def enter(state: _XState) -> Verdict | None:
+        depth = len(stack)
+        verdict = leaf(state, depth)
+        if verdict is not None:
+            if verdict.passed:
+                memo[state] = budget - depth
+            return verdict
+        if memo.get(state, -1) >= budget - depth:
+            return Verdict.ok()
+        if state in on_path:
+            return Verdict.fail(
+                depth,
+                "configuration repeated on one branch: a scheduler can cycle forever",
+                RingConfig(n, state.occ).to_string(),
             )
-            return False
+        if max_states is not None and len(memo) >= max_states:
+            return Verdict.fail(None, f"state budget {max_states} exceeded", None)
         try:
             succs = _successors(n, state)
         except NoRuleError:
             succs = []
         if not succs:
-            failure.append(
-                Verdict.fail(
-                    None,
-                    "branch ends without gathering",
-                    RingConfig(n, state.occ).to_string(),
-                )
-            )
-            return False
-        for _label, nxt in succs:
-            if not walk(nxt):
-                return False
-        proven.add(state)
-        return True
+            return dead_end(state, depth)
+        on_path.add(state)
+        stack.append((state, iter(succs)))
+        return None
 
-    import sys
+    verdict = enter(start)
+    if verdict is not None:
+        return verdict
+    while stack:
+        state, succs = stack[-1]
+        succ = next(succs, None)
+        if succ is None:
+            stack.pop()
+            on_path.discard(state)
+            memo[state] = budget - len(stack)
+            continue
+        _label, nxt = succ
+        verdict = enter(nxt)
+        if verdict is not None and not verdict.passed:
+            return verdict
+    return Verdict.ok()
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20_000))
-    try:
-        ok = walk(_xstate(cfg))
-    finally:
-        sys.setrecursionlimit(old_limit)
-    if ok:
-        return Verdict.ok()
-    return failure[0]
+
+def check_all_paths_gather(cfg: RingConfig, max_states: int = 200_000) -> Verdict:
+    """Explore EVERY scheduler choice from `cfg` and demand that each
+    branch ends gathered.  Every explored action moves a robot eventually
+    (stale Stay cycles never change configurations and are omitted).  A
+    branch fails when it reaches a state with no applicable rule or repeats
+    a configuration (a scheduler could cycle forever), and the search fails
+    when it exceeds the state budget."""
+    n = cfg.n
+
+    def gathered(state: _XState, _depth: int) -> Verdict | None:
+        return Verdict.ok() if sum(1 for c in state.occ if c) == 1 else None
+
+    def dead_end(state: _XState, _depth: int) -> Verdict:
+        return Verdict.fail(
+            None, "branch ends without gathering", RingConfig(n, state.occ).to_string()
+        )
+
+    return _all_paths(n, _xstate(cfg), gathered, dead_end, max_states=max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -527,45 +543,35 @@ def _arrival_ok(tag: Tag, start_cfg: RingConfig, arrival: RingConfig) -> str | N
 
 def _check_one_transition(cfg, tag, spec, depth) -> Verdict:
     n = cfg.n
-    start = _xstate(cfg)
-    # memo: states already proven to reach the target set within the budget
-    proven: dict[_XState, int] = {}
 
-    def walk(state: _XState, budget: int, depth_used: int):
+    def judge(state: _XState, used: int) -> Verdict | None:
         st_tag = Tag(_tag_of(state.occ, n))
         if st_tag in spec.targets:
             arrival = RingConfig(n, state.occ)
             problem = _arrival_ok(tag, cfg, arrival)
             if problem:
-                return Verdict.fail(depth_used, problem, arrival.to_string())
+                return Verdict.fail(used, problem, arrival.to_string())
             return Verdict.ok()
         if st_tag not in spec.allowed:
             return Verdict.fail(
-                depth_used,
+                used,
                 f"{tag.value}: reached {st_tag.value}, outside allowed set",
                 RingConfig(n, state.occ).to_string(),
             )
-        if budget == 0:
+        if used == depth:
             return Verdict.fail(
-                depth_used,
+                used,
                 f"{tag.value}: target set not reached within {depth} actions",
                 RingConfig(n, state.occ).to_string(),
             )
-        if proven.get(state, -1) >= budget:
-            return Verdict.ok()
-        succs = _successors(n, state)
-        if not succs:
-            return Verdict.fail(
-                depth_used, f"{tag.value}: dead end", RingConfig(n, state.occ).to_string()
-            )
-        for _label, nxt in succs:
-            v = walk(nxt, budget - 1, depth_used + 1)
-            if not v.passed:
-                return v
-        proven[state] = budget
-        return Verdict.ok()
+        return None
 
-    return walk(start, depth, 0)
+    def dead_end(state: _XState, used: int) -> Verdict:
+        return Verdict.fail(
+            used, f"{tag.value}: dead end", RingConfig(n, state.occ).to_string()
+        )
+
+    return _all_paths(n, _xstate(cfg), judge, dead_end, budget=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +610,7 @@ def build_phase2_instances(n: int, k: int) -> dict[Tag, RingConfig]:
     """One instance of each special Phase-2 type plus Terminal at (n, k).
     Skewed types are derived from their symmetric siblings by letting a
     single robot move, exactly as an asynchronous scheduler would."""
-    if k % 2 or k <= 8 or n % 2 == 0 or n <= k + 3:
-        raise ValueError("instances need k even > 8 and n odd > k+3")
+    validate_params(n, k)
     spare = n - k  # total empty nodes, odd
     half = k // 2
     out: dict[Tag, RingConfig] = {}

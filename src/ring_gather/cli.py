@@ -19,7 +19,13 @@ import sys
 
 from .ring import RingConfig, canonical_form, classify_symmetry
 from .protocol import Tag, classify_protocol_state, enabled_moves
-from .simulate import InvalidStartError, builtin_scheduler, run, write_trace
+from .simulate import (
+    InvalidStartError,
+    builtin_scheduler,
+    run,
+    validate_params,
+    write_trace,
+)
 from .checker import enumerate_initial_configs, run_verification
 
 SEED_ENV = "RING_GATHER_SEED"
@@ -42,25 +48,16 @@ def _load_config(args) -> RingConfig:
 
 
 def _validate_params(n: int, k: int) -> None:
-    problems = []
-    if k % 2 != 0:
-        problems.append("k even")
-    if k <= 8:
-        problems.append("k>8")
-    if n % 2 != 1:
-        problems.append("n odd")
-    if n <= k + 3:
-        problems.append("n>k+3")
-    if problems:
-        raise SystemExit("constraint violated: " + ", ".join(problems))
+    try:
+        validate_params(n, k)
+    except InvalidStartError as exc:
+        raise SystemExit(str(exc))
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if not args.relaxed:
         _validate_params(cfg.n, cfg.k)
-    if args.scheduler == "exhaustive":
-        raise SystemExit("the exhaustive scheduler only drives `verify`")
     scheduler = builtin_scheduler(args.scheduler, _seed_from(args))
     try:
         trace = run(
@@ -87,14 +84,20 @@ def cmd_enumerate(args) -> int:
             print(cfg.to_string())
             count += 1
     except ValueError as exc:
-        raise SystemExit(f"constraint violated: {exc}")
+        raise SystemExit(str(exc))
     print(f"count={count}", file=sys.stderr)
     return 0
 
 
 def cmd_verify(args) -> int:
+    if (args.n is None) != (args.k is None):
+        raise SystemExit("verify needs both --n and --k, or neither")
+    grids = ((15, 10), (17, 10))
+    if args.n is not None:
+        _validate_params(args.n, args.k)
+        grids = ((args.n, args.k),)
     report = run_verification(
-        grids=((args.n, args.k),) if args.n and args.k else ((15, 10), (17, 10)),
+        grids=grids,
         random_seeds=args.random_seeds,
         lazy_seeds=args.lazy_seeds,
         c=args.c,
@@ -144,21 +147,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_sched=True):
+    def grid(p):
         p.add_argument("--n", type=int, default=None, help="ring size")
         p.add_argument("--k", type=int, default=None, help="robot count")
+        p.add_argument("--out", type=str, default=None, help="output path")
+
+    def common(p, with_sched=True):
+        grid(p)
         p.add_argument("--occ", type=str, default=None, help="occupancy string")
         if with_sched:
             p.add_argument(
                 "--scheduler",
-                choices=["synchronous", "random", "lazy", "exhaustive"],
+                choices=["synchronous", "random", "lazy"],
                 default="synchronous",
             )
             p.add_argument("--seed", type=int, default=None,
                            help=f"RNG seed (falls back to ${SEED_ENV})")
             p.add_argument("--max-steps", type=int, default=400_000)
             p.add_argument("--fairness-bound", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output path")
         p.add_argument("--relaxed", action="store_true",
                        help="skip protocol size constraints (testing only)")
 
@@ -171,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_ver = sub.add_parser("verify", help="run the verification battery")
-    common(p_ver, with_sched=False)
+    grid(p_ver)
     p_ver.add_argument("--random-seeds", type=int, default=50)
     p_ver.add_argument("--lazy-seeds", type=int, default=10)
     p_ver.add_argument("--c", type=int, default=20,

@@ -191,10 +191,6 @@ class DBlock:
     def borders(self, n: int) -> tuple[int, int]:
         return (self.start, (self.start + (self.size - 1) * self.step) % n)
 
-    def span(self) -> int:
-        """Edges covered from first to last robot."""
-        return (self.size - 1) * self.step
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -351,18 +347,6 @@ def classify_symmetry(cfg: RingConfig) -> SymmetryInfo:
     if occ[x] == 0 and occ[(x + 1) % n] == 0:
         slave = hole_at(cfg, x)
     return SymmetryInfo("symmetric", axis_node, axis_edge, leader, slave)
-
-
-def reflect_node(node: int, c: int, n: int) -> int:
-    """Image of a node under the reflection i -> c - i mod n."""
-    return (c - node) % n
-
-
-def axis_reflection_param(info: SymmetryInfo, n: int) -> int:
-    """Recover the reflection parameter c from a reported axis node."""
-    if info.axis_node is None:
-        raise ValueError("no axis reported")
-    return (2 * info.axis_node) % n
 
 
 def inter_distance(cfg: RingConfig) -> int:

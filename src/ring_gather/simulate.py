@@ -58,7 +58,7 @@ class PendingIntent:
     the robot's two directions look equally good and the scheduler decides.
     The robot is *outdated* once another robot has moved since its snapshot,
     and has an *incorrect target* when a fresh computation on the current
-    configuration would decide differently.
+    configuration would decide differently (see `intent_is_incorrect`).
     """
 
     robot: int
@@ -71,12 +71,27 @@ class PendingIntent:
         return state.move_count > self.snapshot_moves
 
     def is_incorrect(self, state: "SimState") -> bool:
-        node = state.positions[self.robot]
-        try:
-            now = decide_targets(RingConfig(state.n, state.occ), node)
-        except NoRuleError:
-            return True
-        return _normalize_target(now) != _normalize_target(self.target)
+        return intent_is_incorrect(
+            RingConfig(state.n, state.occ), state.positions[self.robot], self.target
+        )
+
+
+def intent_is_incorrect(cfg: RingConfig, node: int, target) -> bool:
+    """Whether a pending intent of the robot on `node` differs from a fresh
+    decision on `cfg`.
+
+    A pending Stay is never incorrect: firing it changes nothing and the
+    robot then re-observes, so only intents with a target destination can
+    be outdated with an incorrect target.  A fresh decision with no
+    applicable rule counts as incorrect.
+    """
+    if target is None:
+        return False
+    try:
+        now = decide_targets(cfg, node)
+    except NoRuleError:
+        return True
+    return _normalize_target(now) != _normalize_target(target)
 
 
 def _normalize_target(t):
@@ -486,22 +501,7 @@ class LazyScheduler(Scheduler):
         return self._rng.choice(sorted(intent.target))
 
 
-class ExhaustiveScheduler(Scheduler):
-    """Placeholder policy for the checker's bounded exploration; it cannot
-    drive a single run (see `checker.explore`)."""
-
-    name = "exhaustive"
-
-    def __init__(self, depth: int):
-        self.depth = depth
-
-    def propose(self, sim: _Sim) -> SchedulerAction:
-        raise ValueError(
-            "the exhaustive scheduler enumerates action trees; use checker.explore"
-        )
-
-
-def builtin_scheduler(name: str, seed: int | None = None, depth: int = 8) -> Scheduler:
+def builtin_scheduler(name: str, seed: int | None = None) -> Scheduler:
     """Construct one of the built-in adversaries by name."""
     if name == "synchronous":
         return SynchronousScheduler()
@@ -509,8 +509,6 @@ def builtin_scheduler(name: str, seed: int | None = None, depth: int = 8) -> Sch
         return RandomFairScheduler(0 if seed is None else seed)
     if name == "lazy":
         return LazyScheduler(0 if seed is None else seed)
-    if name == "exhaustive":
-        return ExhaustiveScheduler(depth)
     raise ValueError(f"unknown scheduler {name!r}")
 
 
@@ -521,6 +519,22 @@ def builtin_scheduler(name: str, seed: int | None = None, depth: int = 8) -> Sch
 
 class InvalidStartError(ValueError):
     pass
+
+
+def validate_params(n: int, k: int) -> None:
+    """Check the protocol's size constraints: k even, k > 8, n odd and
+    n > k + 3.  The message lists every violated constraint."""
+    problems = []
+    if k % 2 != 0:
+        problems.append("k even")
+    if k <= 8:
+        problems.append("k>8")
+    if n % 2 != 1:
+        problems.append("n odd")
+    if n <= k + 3:
+        problems.append("n>k+3")
+    if problems:
+        raise InvalidStartError("constraint violated: " + ", ".join(problems))
 
 
 def validate_initial(cfg: RingConfig, relaxed: bool = False) -> None:
@@ -540,15 +554,7 @@ def validate_initial(cfg: RingConfig, relaxed: bool = False) -> None:
         if tag is Tag.UNKNOWN:
             raise InvalidStartError("initial configuration has no protocol state")
         return
-    k, n = cfg.k, cfg.n
-    if k % 2 != 0:
-        raise InvalidStartError("k even required")
-    if k <= 8:
-        raise InvalidStartError("k>8 required")
-    if n % 2 != 1:
-        raise InvalidStartError("n odd required")
-    if n <= k + 3:
-        raise InvalidStartError("n>k+3 required")
+    validate_params(cfg.n, cfg.k)
 
 
 def run(
@@ -565,10 +571,6 @@ def run(
     the most starved robot replaces the proposal.
     """
     validate_initial(initial, relaxed=relaxed)
-    if isinstance(scheduler, ExhaustiveScheduler):
-        raise ValueError(
-            "the exhaustive scheduler enumerates action trees; use checker.explore"
-        )
     sim = _Sim(SimState.initial(initial))
     bound = 4 * sim.k if fairness_bound is None else fairness_bound
     seed = getattr(scheduler, "seed", None)

@@ -187,6 +187,16 @@ class TestAllPathsGather:
         # the failing branch ends with a tower outside the rule set
         assert any(c not in ".1" for c in verdict.violation.occ)
 
+    def test_cycle_is_a_failing_verdict(self):
+        # outside the protocol's sizes a scheduler can move robots back and
+        # forth forever; the search reports the repeated configuration
+        from ring_gather import check_all_paths_gather
+
+        verdict = check_all_paths_gather(RingConfig.from_string("..111"))
+        assert not verdict.passed
+        assert "repeated" in verdict.violation.description
+        assert RingConfig.from_string(verdict.violation.occ).k == 3
+
 
 class TestExplore:
     def test_depth_one_from_terminal(self):

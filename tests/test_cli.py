@@ -79,6 +79,32 @@ def test_enumerate_validates(capsys):
     assert "k even" in str(exc.value)
 
 
+@pytest.mark.parametrize("flag", [["--n", "15"], ["--k", "10"]])
+def test_verify_needs_both_n_and_k(flag):
+    # --max-steps 1 keeps a run of the default grids short should the
+    # half-given grid be accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flag, "--random-seeds", "0", "--lazy-seeds", "0",
+              "--max-steps", "1"])
+    assert exc.value.code != 0
+    assert "--n" in str(exc.value) and "--k" in str(exc.value)
+
+
+@pytest.mark.parametrize("flag", [["--occ", TERMINAL], ["--relaxed"]])
+def test_verify_rejects_unused_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "15", "--k", "10", *flag, "--random-seeds", "0",
+              "--lazy-seeds", "0", "--max-steps", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_validates_grid():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "15", "--k", "9"])
+    assert "constraint violated: k even" in str(exc.value)
+
+
 def test_verify_quick_grid(tmp_path, capsys):
     report_file = tmp_path / "report.json"
     code = main(

@@ -14,6 +14,7 @@ from ring_gather import (
     run,
     step,
 )
+from ring_gather.protocol import decide_targets
 from ring_gather.simulate import _Sim
 
 
@@ -64,6 +65,21 @@ class TestStep:
         assert not intent.is_incorrect(state)  # the catch-up move agrees
         state = step(state, SchedulerAction("fire", b))
         assert state.occ[5] == 2  # tower on the axis node
+
+    def test_pending_stay_is_never_incorrect(self):
+        # under random seed 1, robot 2 on node 7 snapshots a Stay that a
+        # later move makes stale: a fresh decision would move it to node 6,
+        # but firing the Stay changes nothing and the robot then re-observes
+        cfg = RingConfig.from_string(".....1111111111")
+        trace = run(cfg, builtin_scheduler("random", 1))
+        state = SimState.initial(cfg)
+        for ev in trace.events[:35]:
+            state = step(state, SchedulerAction(ev.kind, ev.robot, ev.to_node))
+        intent = state.pending[2]
+        assert intent.target is None and state.positions[2] == 7
+        assert decide_targets(state.config, 7) == 6
+        assert intent.is_outdated(state)
+        assert not intent.is_incorrect(state)
 
     def test_double_activate_rejected(self):
         state = SimState.initial(BLOCK_15)
@@ -132,8 +148,8 @@ class TestRun:
         assert all(a <= b for a, b in zip(rounds, rounds[1:]))
 
     def test_exhaustive_cannot_drive_run(self):
-        with pytest.raises(ValueError, match="explore"):
-            run(BLOCK_15, builtin_scheduler("exhaustive", depth=3))
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            run(BLOCK_15, builtin_scheduler("exhaustive"))
 
     def test_inter_distance_two_start_gathers(self):
         # a d=2 single-block start exercises the BlockDistance funnel
