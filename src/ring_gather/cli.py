@@ -78,6 +78,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.n is None or args.k is None:
+        raise SystemExit("enumerate needs both --n and --k")
     count = 0
     try:
         for cfg in enumerate_initial_configs(args.n, args.k, relaxed=args.relaxed):
@@ -187,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_cls = sub.add_parser("classify", help="name the protocol state of a config")
-    common(p_cls, with_sched=False)
+    p_cls.add_argument("--n", type=int, default=None, help="ring size")
+    p_cls.add_argument("--occ", type=str, default=None, help="occupancy string")
     p_cls.set_defaults(func=cmd_classify)
 
     return parser

@@ -212,6 +212,7 @@ def clear_caches() -> None:
     _ANALYSES.clear()
     _DECIDE_CACHE.clear()
     _OCC_SET_CACHE.clear()
+    _CLASS_MOVES.clear()
 
 
 @dataclass(frozen=True)
@@ -989,38 +990,95 @@ def reconstruct_from_view(view: View) -> RingConfig:
     return RingConfig(n, tuple(occ))
 
 
+# Rule results per class of view, for `local_decide`: class key -> the moves
+# of the class representative (node -> targets), or None when no rule
+# applies.  The representative always has a robot on node 0, while a
+# canonical occupancy string starts with '.', so it is never the placement
+# that `check_local_global_consistency` runs the global rules on: that
+# cross-check still compares two computations on different placements.
+_CLASS_MOVES: dict = {}
+_CLASS_MOVES_LIMIT = 65536
+
+
+def _view_class(dists: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
+    """Place a gap cycle in its class under rotation and reversal.
+
+    The key is the lexicographically largest of the 2w readings of
+    ``dists`` (every rotation, forwards and reversed).  Also returns the
+    node the observer occupies in the representative
+    ``reconstruct_from_view(View(key, False))``, and whether the matching
+    reading was reversed, so that the representative's forward direction is
+    the observer's backward one.
+
+    Ties keep the first reading found, a forward one whenever the pattern is
+    mirror-symmetric, so such a pattern maps to its representative by a
+    rotation: the rules break some mirror ties by clockwise order (a lone
+    robot at distance 2 from both ends of a block steps clockwise), which a
+    reflection would turn around."""
+    n = sum(dists)
+    w = len(dists)
+    best = None
+    for reverse, seq in ((False, dists), (True, dists[::-1])):
+        doubled = seq + seq
+        pos = 0
+        for j in range(w):
+            cand = doubled[j : j + w]
+            if best is None or cand > best:
+                best, at, flipped = cand, pos, reverse
+            pos += seq[j]
+    return best, -at % n, flipped
+
+
+def _class_moves(key: tuple[int, ...]):
+    """The moves of a class representative, or None when no rule applies."""
+    pattern = reconstruct_from_view(View(key, False))
+    if len(key) % 2 == 0:
+        a = _even_pattern(pattern)
+        return None if a.tag is Tag.UNKNOWN else a.moves
+    shape, moves, _roles = _odd_pattern(pattern)
+    return None if shape is None else moves
+
+
 def local_decide(view: View) -> Decision:
     """A robot's compute phase: reproduce the global rule from its view.
 
     Tower robots and robots in gathered patterns stay.  Otherwise the
-    visible pattern is reconstructed and the movement rules applied; the
-    result is reported relative to the view's reading direction.
+    movement rules are applied to the visible pattern the view reconstructs;
+    the result is reported relative to the view's reading direction.  On an
+    odd ring the rules move the same robots on every placement of a pattern
+    (mirror ties aside, see `_view_class`), so they run once per class of
+    view, on its representative, and the observer's move is mapped back
+    through the rotation or reflection between the two.  Even rings lie outside the protocol, and there the
+    rules can tell two mirror-image robots apart by node index (Biblock
+    with two robots at distance 2), so each view is its own class there.
     """
     if view.tower_here:
         return Decision.stay()
     if len(view.dists) == 1:
         return Decision.stay()
-    pattern = reconstruct_from_view(view)
-    n = pattern.n
-    if len(view.dists) % 2 == 0:
-        a = _even_pattern(pattern)
-        if a.tag is Tag.UNKNOWN:
-            raise NoRuleError("no rule")
-        moves = a.moves
+    n = sum(view.dists)
+    if n % 2:
+        key, node, flipped = _view_class(view.dists)
     else:
-        shape, moves, _roles = _odd_pattern(pattern)
-        if shape is None:
-            raise NoRuleError("no rule")
-    mine = moves.get(0)
+        key, node, flipped = view.dists, 0, False
+    moves = _CLASS_MOVES.get(key, _MISS)
+    if moves is _MISS:
+        moves = _class_moves(key)
+        if len(_CLASS_MOVES) >= _CLASS_MOVES_LIMIT:
+            _CLASS_MOVES.clear()
+        _CLASS_MOVES[key] = moves
+    if moves is None:
+        raise NoRuleError("no rule")
+    mine = moves.get(node)
     if not mine:
         return Decision.stay()
-    targets = set(mine)
-    if targets == {1, n - 1}:
+    steps = {(t - node) % n for t in mine}
+    if steps == {1, n - 1}:
         return Decision.either()
-    if targets == {1}:
-        return Decision.move(forward=True)
-    if targets == {n - 1}:
-        return Decision.move(forward=False)
+    if steps == {1}:
+        return Decision.move(forward=not flipped)
+    if steps == {n - 1}:
+        return Decision.move(forward=flipped)
     raise AssertionError(f"non-adjacent move target {mine}")
 
 

@@ -313,9 +313,13 @@ def rotations_fixing(occ: tuple[int, ...]) -> list[int]:
 
 
 def reflections_fixing(occ: tuple[int, ...]) -> list[int]:
-    """Reflection parameters c (i -> c - i mod n) fixing the occupancy."""
+    """Reflection parameters c (i -> c - i mod n) fixing the occupancy.
+
+    The image of ``occ`` under c reads the reversal from index n - 1 - c
+    on, so each candidate is one slice of the doubled reversal."""
     n = len(occ)
-    return [c for c in range(n) if all(occ[(c - i) % n] == occ[i] for i in range(n))]
+    doubled = occ[::-1] * 2
+    return [c for c in range(n) if doubled[n - 1 - c : 2 * n - 1 - c] == occ]
 
 
 def classify_symmetry(cfg: RingConfig) -> SymmetryInfo:

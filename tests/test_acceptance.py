@@ -62,6 +62,7 @@ def _check(report, name):
     return entry["failed"] == 0, detail
 
 
+@pytest.mark.slow
 def test_criterion_1_gathering_soundness(battery):
     """Every run over the canonical starts ends Gathered within 20*n^2
     asynchronous rounds, established against the orbit-enumeration oracle."""
@@ -72,6 +73,7 @@ def test_criterion_1_gathering_soundness(battery):
     assert ok, f"gathering soundness failed: {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_2_lemma_invariants(battery):
     """No tower before TerminalSkew/Target, never periodic, at most one
     outdated robot with an incorrect target, on every criterion-1 trace."""
@@ -123,6 +125,7 @@ def test_criterion_4_geometry_oracle():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_local_global_consistency(battery):
     """On every configuration of the synchronous runs, the per-view local
     decision equals the global rule for every robot."""
@@ -131,6 +134,7 @@ def test_criterion_5_local_global_consistency(battery):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_6_determinism_and_replay(battery):
     """Byte-identical traces for identical inputs; replaying every emitted
     trace reproduces each occupancy string exactly."""

@@ -80,6 +80,26 @@ def test_enumerate_validates(capsys):
 
 
 @pytest.mark.parametrize("flag", [["--n", "15"], ["--k", "10"]])
+def test_enumerate_needs_both_n_and_k(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *flag])
+    assert exc.value.code != 0
+    assert "--n" in str(exc.value) and "--k" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "flag", [["--k", "3"], ["--relaxed"], ["--out", "f.txt"]]
+)
+def test_classify_rejects_unused_flags(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--occ", TERMINAL, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "f.txt").exists()
+
+
+@pytest.mark.parametrize("flag", [["--n", "15"], ["--k", "10"]])
 def test_verify_needs_both_n_and_k(flag):
     # --max-steps 1 keeps a run of the default grids short should the
     # half-given grid be accepted

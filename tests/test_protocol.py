@@ -1,11 +1,14 @@
 """Rule engine: classification, enabled moves, and the local decision path."""
 
+import itertools
+
 import pytest
 
 from ring_gather import (
     RingConfig,
     Tag,
     Phase,
+    View,
     NoRuleError,
     classify_protocol_state,
     classify_symmetry,
@@ -14,8 +17,18 @@ from ring_gather import (
     local_decide,
     phase_of,
 )
-from ring_gather.protocol import Decision, LocalDecision, decide_targets
+from ring_gather import protocol
+from ring_gather.protocol import (
+    Decision,
+    LocalDecision,
+    _even_pattern,
+    _odd_pattern,
+    clear_caches,
+    decide_targets,
+    reconstruct_from_view,
+)
 from ring_gather.checker import build_phase2_instances, enumerate_initial_configs
+from ring_gather.simulate import builtin_scheduler, run
 
 from oracles import brute_view
 
@@ -286,6 +299,100 @@ class TestLocalDecide:
                 )
                 want = None if cfg.occ[node] >= 2 else expected.get(node)
                 assert got == want, (cfg.to_string(), node)
+
+
+def _engine_decision(view):
+    """Reference: the decision read straight from the rule engine on the
+    robot's own reconstruction, observer on node 0, forward = +1."""
+    if view.tower_here or len(view.dists) == 1:
+        return Decision.stay()
+    pattern = reconstruct_from_view(view)
+    n = pattern.n
+    if len(view.dists) % 2 == 0:
+        analysis = _even_pattern(pattern)
+        moves = None if analysis.tag is Tag.UNKNOWN else analysis.moves
+    else:
+        shape, moves, _roles = _odd_pattern(pattern)
+        moves = None if shape is None else moves
+    if moves is None:
+        return NoRuleError
+    mine = set(moves.get(0, ()))
+    if not mine:
+        return Decision.stay()
+    if mine == {1, n - 1}:
+        return Decision.either()
+    assert mine in ({1}, {n - 1}), mine
+    return Decision.move(forward=mine == {1})
+
+
+def _local_decision(view):
+    try:
+        return local_decide(view)
+    except NoRuleError:
+        return NoRuleError
+
+
+@pytest.fixture(scope="module")
+def protocol_views():
+    """Every robot view of every class at (15,10) and (17,10), and of every
+    configuration on a synchronous, a random and a lazy run at n = 21."""
+    configs = list(enumerate_initial_configs(15, 10))
+    configs += list(enumerate_initial_configs(17, 10))
+    start = RingConfig.from_string("1..11.1.11.1..11..1..")
+    occs = set()
+    for name, seed in (("synchronous", None), ("random", 0), ("lazy", 0)):
+        trace = run(start, builtin_scheduler(name, seed))
+        assert trace.outcome == "Gathered"
+        occs.update(ev.occ for ev in trace.events)
+    configs += [RingConfig.from_string(occ) for occ in sorted(occs)]
+    views = list(
+        dict.fromkeys(compute_view(cfg, v) for cfg in configs for v in cfg.occupied)
+    )
+    # Phase 3: robots beside the tower see an odd number of occupied nodes
+    assert any(len(view.dists) % 2 == 1 and not view.tower_here for view in views)
+    return views
+
+
+class TestDecisionTable:
+    """`local_decide` runs the rules once per class of view and maps the
+    result back to the asking robot."""
+
+    def test_matches_rule_engine_on_own_reconstruction(self, protocol_views):
+        clear_caches()
+        for view in protocol_views:
+            assert _local_decision(view) == _engine_decision(view), view
+
+    def test_matches_rule_engine_on_every_small_ring_view(self):
+        # every gap cycle of n <= 13, whatever its width; this includes the
+        # mirror-symmetric patterns whose rules break the tie clockwise (a
+        # lone robot at distance 2 from both ends of a block) and the even
+        # rings, where two robots at distance 2 are told apart by index
+        clear_caches()
+        for n in range(2, 14):
+            for cuts in itertools.product((False, True), repeat=n - 1):
+                dists, gap = [], 1
+                for cut in cuts:
+                    if cut:
+                        dists.append(gap)
+                        gap = 0
+                    gap += 1
+                view = View(tuple(dists) + (gap,), False)
+                assert _local_decision(view) == _engine_decision(view), view
+
+    def test_same_decisions_with_cold_caches(self, protocol_views):
+        for view in protocol_views:
+            clear_caches()
+            assert _local_decision(view) == _engine_decision(view), view
+
+    def test_table_is_bounded_and_cleared(self, protocol_views, monkeypatch):
+        monkeypatch.setattr(protocol, "_CLASS_MOVES_LIMIT", 16)
+        clear_caches()
+        for view in protocol_views:
+            assert _local_decision(view) == _engine_decision(view), view
+            assert len(protocol._CLASS_MOVES) <= 16
+        assert protocol._CLASS_MOVES
+        clear_caches()
+        assert not protocol._CLASS_MOVES
 
 
 class TestPhaseOf:

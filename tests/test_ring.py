@@ -13,9 +13,15 @@ from ring_gather import (
     inter_distance,
     occupied_runs,
 )
-from ring_gather.ring import format_occupancy, parse_occupancy, hole_at
+from ring_gather.ring import (
+    format_occupancy,
+    hole_at,
+    parse_occupancy,
+    reflections_fixing,
+)
 
 from oracles import (
+    brute_axes,
     brute_blocks,
     brute_inter_distance,
     brute_symmetry_class,
@@ -125,6 +131,11 @@ class TestSymmetry:
     @settings(max_examples=400, deadline=None)
     def test_class_matches_brute_force(self, cfg):
         assert classify_symmetry(cfg).cfg_class == brute_symmetry_class(cfg.occ)
+
+    @given(any_configs(n_max=13))
+    @settings(max_examples=400, deadline=None)
+    def test_reflections_match_brute_force(self, cfg):
+        assert reflections_fixing(cfg.occ) == brute_axes(cfg.occ)
 
     @given(towerless_configs())
     @settings(max_examples=300, deadline=None)
