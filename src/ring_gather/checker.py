@@ -24,12 +24,11 @@ from .ring import (
     compute_view,
     parse_occupancy,
 )
-from . import protocol as _protocol
-from . import simulate as _simulate
 from .protocol import (
     NoRuleError,
     Phase,
     Tag,
+    _analyze,
     classify_protocol_state,
     decide_targets,
     enabled_moves,
@@ -43,13 +42,7 @@ from .simulate import (
     run,
     validate_params,
     _canon_of,
-    _tag_of,
 )
-
-
-def _clear_all_caches():
-    _protocol.clear_caches()
-    _simulate.clear_caches()
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,7 @@ class _Replay:
             else:
                 mismatch = f"unknown event kind {ev.kind!r}"
             occ = tuple(self.occ)
-            if _canon_of(occ, self.n) != ev.occ:
+            if _canon_of(occ) != ev.occ:
                 mismatch = mismatch or "occupancy diverged from recording"
             yield ev, mismatch
 
@@ -344,35 +337,6 @@ def _successors(n: int, state: _XState):
     return out
 
 
-def explore(cfg: RingConfig, depth: int):
-    """Breadth-first enumeration of the action tree to the given depth.
-    Returns {depth: set of _XState} for every level."""
-    levels = {0: {_xstate(cfg)}}
-    frontier = levels[0]
-    seen = dict.fromkeys(frontier, 0)
-    for d in range(1, depth + 1):
-        nxt = set()
-        for st in frontier:
-            for _label, succ in _successors(cfg.n, st):
-                if succ not in seen:
-                    seen[succ] = d
-                    nxt.add(succ)
-        levels[d] = nxt
-        frontier = nxt
-        if not frontier:
-            break
-    return levels
-
-
-def successor_configs(cfg: RingConfig, depth: int = 1):
-    """Distinct configurations reachable within `depth` actions."""
-    out = set()
-    for states in explore(cfg, depth).values():
-        for st in states:
-            out.add(st.occ)
-    return {RingConfig(cfg.n, occ) for occ in out}
-
-
 def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
                max_states: int | None = None) -> Verdict:
     """Depth-first search over every scheduler choice from `start`.
@@ -545,7 +509,7 @@ def _check_one_transition(cfg, tag, spec, depth) -> Verdict:
     n = cfg.n
 
     def judge(state: _XState, used: int) -> Verdict | None:
-        st_tag = Tag(_tag_of(state.occ, n))
+        st_tag = _analyze(state.occ).tag
         if st_tag in spec.targets:
             arrival = RingConfig(n, state.occ)
             problem = _arrival_ok(tag, cfg, arrival)
@@ -776,7 +740,6 @@ def run_verification(
                 ):
                     record(name, verdict, context)
                     runs += 1
-        _clear_all_caches()
 
     for n in transition_ns:
         instances = build_phase2_instances(n, transition_k)

@@ -149,49 +149,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def grid(p):
-        p.add_argument("--n", type=int, default=None, help="ring size")
-        p.add_argument("--k", type=int, default=None, help="robot count")
-        p.add_argument("--out", type=str, default=None, help="output path")
-
-    def common(p, with_sched=True):
-        grid(p)
-        p.add_argument("--occ", type=str, default=None, help="occupancy string")
-        if with_sched:
-            p.add_argument(
-                "--scheduler",
-                choices=["synchronous", "random", "lazy"],
-                default="synchronous",
-            )
-            p.add_argument("--seed", type=int, default=None,
-                           help=f"RNG seed (falls back to ${SEED_ENV})")
-            p.add_argument("--max-steps", type=int, default=400_000)
-            p.add_argument("--fairness-bound", type=int, default=None)
-        p.add_argument("--relaxed", action="store_true",
-                       help="skip protocol size constraints (testing only)")
-
-    p_sim = sub.add_parser("simulate", help="run one execution, write JSONL trace")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_enum = sub.add_parser("enumerate", help="stream canonical initial configs")
-    common(p_enum, with_sched=False)
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_ver = sub.add_parser("verify", help="run the verification battery")
-    grid(p_ver)
-    p_ver.add_argument("--random-seeds", type=int, default=50)
-    p_ver.add_argument("--lazy-seeds", type=int, default=10)
-    p_ver.add_argument("--c", type=int, default=20,
-                       help="round-bound constant: gathered within c*n^2 rounds")
-    p_ver.add_argument("--max-steps", type=int, default=400_000)
-    p_ver.add_argument("--jobs", type=int, default=None, help="worker processes")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_cls = sub.add_parser("classify", help="name the protocol state of a config")
-    p_cls.add_argument("--n", type=int, default=None, help="ring size")
-    p_cls.add_argument("--occ", type=str, default=None, help="occupancy string")
-    p_cls.set_defaults(func=cmd_classify)
+    flags = {
+        "--n": dict(type=int, default=None, help="ring size"),
+        "--k": dict(type=int, default=None, help="robot count"),
+        "--occ": dict(type=str, default=None, help="occupancy string"),
+        "--out": dict(type=str, default=None, help="output path"),
+        "--scheduler": dict(choices=["synchronous", "random", "lazy"],
+                            default="synchronous"),
+        "--seed": dict(type=int, default=None,
+                       help=f"RNG seed (falls back to ${SEED_ENV})"),
+        "--max-steps": dict(type=int, default=400_000),
+        "--fairness-bound": dict(type=int, default=None),
+        "--relaxed": dict(action="store_true",
+                          help="skip protocol size constraints (testing only)"),
+        "--random-seeds": dict(type=int, default=50),
+        "--lazy-seeds": dict(type=int, default=10),
+        "--c": dict(type=int, default=20,
+                    help="round-bound constant: gathered within c*n^2 rounds"),
+        "--jobs": dict(type=int, default=None, help="worker processes"),
+    }
+    # each subcommand registers only the flags it reads, so argparse rejects
+    # the rest instead of ignoring them
+    commands = (
+        ("simulate", cmd_simulate, "run one execution, write JSONL trace",
+         ("--n", "--out", "--occ", "--scheduler", "--seed", "--max-steps",
+          "--fairness-bound", "--relaxed")),
+        ("enumerate", cmd_enumerate, "stream canonical initial configs",
+         ("--n", "--k", "--relaxed")),
+        ("verify", cmd_verify, "run the verification battery",
+         ("--n", "--k", "--out", "--random-seeds", "--lazy-seeds", "--c",
+          "--max-steps", "--jobs")),
+        ("classify", cmd_classify, "name the protocol state of a config",
+         ("--n", "--occ")),
+    )
+    for name, func, help_text, names in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
 
     return parser
 

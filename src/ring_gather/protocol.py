@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .ring import (
     Hole,
@@ -202,17 +203,19 @@ def _holes_after(runs, n):
     return out
 
 
-_ANALYSES: dict = {}
-_DECIDE_CACHE: dict = {}
-_MISS = object()
+# Every rule result is a pure function of an occupancy tuple (or of a view's
+# gap cycle), so each memo in the package is an LRU cache of this size keyed
+# by plain tuples and ints: hashing a RingConfig runs in Python and costs
+# more than the lookup it keys.
+_CACHE_SIZE = 65536
 
 
 def clear_caches() -> None:
-    """Drop memoized per-configuration analyses (used between test grids)."""
-    _ANALYSES.clear()
-    _DECIDE_CACHE.clear()
-    _OCC_SET_CACHE.clear()
-    _CLASS_MOVES.clear()
+    """Empty the rule engine's memos."""
+    _config.cache_clear()
+    _analyze.cache_clear()
+    _decide.cache_clear()
+    _class_moves.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -222,13 +225,17 @@ class Analysis:
     roles: dict
 
 
-def _analyze(cfg: RingConfig) -> Analysis:
-    key = cfg.occ
-    hit = _ANALYSES.get(key)
-    if hit is None:
-        hit = _classify(cfg)
-        _ANALYSES[key] = hit
-    return hit
+@lru_cache(maxsize=_CACHE_SIZE)
+def _config(occ: tuple[int, ...]) -> RingConfig:
+    """One RingConfig per occupancy for the memos below, so that the
+    decisions of every robot of a configuration share its cached
+    `occupied` tuple instead of each building a new configuration."""
+    return RingConfig(len(occ), occ)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _analyze(occ: tuple[int, ...]) -> Analysis:
+    return _classify(_config(occ))
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +585,9 @@ def _block_mirror2(cfg: RingConfig, sym, dec) -> Analysis:
         if g not in guides:
             guides.append(g)
     moves = {}
-    occ_nodes = cfg.occupied
     for g in guides:
         for border, step in zip(g.borders(n), (-1, 1)):
-            nxt = _next_occupied(occ_nodes, border, step, n)
+            nxt = _next_occupied(cfg.occ, border, step, n)
             other = owners.get(nxt)
             if other is None or other is g:
                 continue
@@ -601,26 +607,11 @@ def _hole_between_is_leader(border, step, lead, n):
     return lead.contains(first_empty, n)
 
 
-def _next_occupied(occ_nodes, node, step, n):
+def _next_occupied(occ, node, step, n):
     v = (node + step) % n
-    occ_set = _occ_set(occ_nodes)
-    while v not in occ_set:
+    while not occ[v]:
         v = (v + step) % n
     return v
-
-
-_OCC_SET_CACHE: dict = {}
-
-
-def _occ_set(occ_nodes):
-    key = occ_nodes
-    s = _OCC_SET_CACHE.get(key)
-    if s is None:
-        s = frozenset(occ_nodes)
-        _OCC_SET_CACHE[key] = s
-        if len(_OCC_SET_CACHE) > 65536:
-            _OCC_SET_CACHE.clear()
-    return s
 
 
 def _big_block(cfg: RingConfig, sym, dec) -> Analysis:
@@ -631,12 +622,11 @@ def _big_block(cfg: RingConfig, sym, dec) -> Analysis:
     for b in biggest:
         for v in b.nodes(n):
             biggest_nodes[v] = b
-    occ_nodes = cfg.occupied
 
     iso_adjacent = False
     for v in dec.isolated:
         for step in (1, -1):
-            u = _next_occupied(occ_nodes, v, step, n)
+            u = _next_occupied(cfg.occ, v, step, n)
             if u in biggest_nodes:
                 iso_adjacent = True
                 break
@@ -670,13 +660,12 @@ def _isolated_candidates(cfg: RingConfig, dec, biggest_nodes):
     """Isolated robots sharing a hole with a biggest d.block, keeping only
     those at minimal distance, with their minimal directions."""
     n = cfg.n
-    occ_nodes = cfg.occupied
     per = []
     for v in dec.isolated:
         dirs = []
         best = None
         for step in (1, -1):
-            u = _next_occupied(occ_nodes, v, step, n)
+            u = _next_occupied(cfg.occ, v, step, n)
             if u not in biggest_nodes:
                 continue
             gap = ((u - v) * step) % n
@@ -705,18 +694,17 @@ def _try_big_block_1_1(cfg: RingConfig, sym, dec):
         return None
     n = cfg.n
     i1, i2 = dec.isolated
-    occ_nodes = cfg.occupied
     # the two isolated robots must flank a common hole
     shared = None
     for step in (1, -1):
-        if _next_occupied(occ_nodes, i1, step, n) == i2:
+        if _next_occupied(cfg.occ, i1, step, n) == i2:
             shared = step
             break
     if shared is None:
         return None
     dists = {}
     for iso, step in ((i1, -shared), (i2, shared)):
-        u = _next_occupied(occ_nodes, iso, step, n)
+        u = _next_occupied(cfg.occ, iso, step, n)
         dists[iso] = (((u - iso) * step) % n, step)
     (da, sa), (db, sb) = dists[i1], dists[i2]
     if da == db:
@@ -766,7 +754,7 @@ def _closest_candidates(cfg: RingConfig, dec, target_blocks, exclude_members=Fal
         mine = owner.get(v)
         dirs = []
         for step in (1, -1):
-            u = _next_occupied(occ_nodes, v, step, n)
+            u = _next_occupied(cfg.occ, v, step, n)
             gap = ((u - v) * step) % n
             if gap == best and owner.get(u) in target_blocks and owner.get(u) is not mine:
                 dirs.append(step)
@@ -943,13 +931,13 @@ def classify_protocol_state(cfg: RingConfig) -> ProtocolState:
     Phase-1 d.block configurations.  Anything outside the protocol's
     reachable set is Unknown.
     """
-    a = _analyze(cfg)
+    a = _analyze(cfg.occ)
     return ProtocolState(a.tag, a.roles)
 
 
 def enabled_moves(cfg: RingConfig) -> frozenset[MoveIntent]:
     """The robots allowed to move and their admissible destinations."""
-    a = _analyze(cfg)
+    a = _analyze(cfg.occ)
     if a.tag is Tag.GATHERED:
         return frozenset()
     if a.tag is Tag.UNKNOWN:
@@ -990,16 +978,6 @@ def reconstruct_from_view(view: View) -> RingConfig:
     return RingConfig(n, tuple(occ))
 
 
-# Rule results per class of view, for `local_decide`: class key -> the moves
-# of the class representative (node -> targets), or None when no rule
-# applies.  The representative always has a robot on node 0, while a
-# canonical occupancy string starts with '.', so it is never the placement
-# that `check_local_global_consistency` runs the global rules on: that
-# cross-check still compares two computations on different placements.
-_CLASS_MOVES: dict = {}
-_CLASS_MOVES_LIMIT = 65536
-
-
 def _view_class(dists: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
     """Place a gap cycle in its class under rotation and reversal.
 
@@ -1029,8 +1007,15 @@ def _view_class(dists: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
     return best, -at % n, flipped
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _class_moves(key: tuple[int, ...]):
-    """The moves of a class representative, or None when no rule applies."""
+    """The moves of a class representative (node -> targets), or None when
+    no rule applies.
+
+    The representative always has a robot on node 0, while a canonical
+    occupancy string starts with '.', so it is never the placement that
+    `check_local_global_consistency` runs the global rules on: that
+    cross-check still compares two computations on different placements."""
     pattern = reconstruct_from_view(View(key, False))
     if len(key) % 2 == 0:
         a = _even_pattern(pattern)
@@ -1061,12 +1046,7 @@ def local_decide(view: View) -> Decision:
         key, node, flipped = _view_class(view.dists)
     else:
         key, node, flipped = view.dists, 0, False
-    moves = _CLASS_MOVES.get(key, _MISS)
-    if moves is _MISS:
-        moves = _class_moves(key)
-        if len(_CLASS_MOVES) >= _CLASS_MOVES_LIMIT:
-            _CLASS_MOVES.clear()
-        _CLASS_MOVES[key] = moves
+    moves = _class_moves(key)
     if moves is None:
         raise NoRuleError("no rule")
     mine = moves.get(node)
@@ -1086,20 +1066,19 @@ def decide_targets(cfg: RingConfig, node: int):
     """Concrete destination nodes for the robot on ``node``, derived through
     its view exactly as the robot itself would: None to stay, a node, or a
     pair of nodes when the scheduler picks the direction."""
-    key = (cfg.occ, node)
-    hit = _DECIDE_CACHE.get(key, _MISS)
-    if hit is not _MISS:
-        return hit
+    return _decide(cfg.occ, node)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _decide(occ: tuple[int, ...], node: int):
+    cfg = _config(occ)
     view = compute_view(cfg, node)
     decision = local_decide(view)
     n = cfg.n
     if decision.kind is LocalDecision.STAY:
-        result = None
-    elif decision.kind is LocalDecision.MOVE_EITHER:
-        result = ((node - 1) % n, (node + 1) % n)
-    else:
-        direction = view_direction(cfg, node)
-        step = direction if decision.forward else -direction
-        result = (node + step) % n
-    _DECIDE_CACHE[key] = result
-    return result
+        return None
+    if decision.kind is LocalDecision.MOVE_EITHER:
+        return ((node - 1) % n, (node + 1) % n)
+    direction = view_direction(cfg, node)
+    step = direction if decision.forward else -direction
+    return (node + step) % n

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from random import Random
 from typing import NamedTuple
 
@@ -33,6 +34,8 @@ from .protocol import (
     PHASE3_TAGS,
     NoRuleError,
     Tag,
+    _CACHE_SIZE,
+    _analyze,
     classify_protocol_state,
     decide_targets,
 )
@@ -339,30 +342,14 @@ class Trace:
         return trace
 
 
-_TAG_CACHE: dict = {}
-_CANON_CACHE: dict = {}
-
-
 def clear_caches() -> None:
-    """Drop memoized tags and canonical strings (used between test grids)."""
-    _TAG_CACHE.clear()
-    _CANON_CACHE.clear()
+    """Empty the memo of canonical occupancy strings."""
+    _canon_of.cache_clear()
 
 
-def _tag_of(occ: tuple[int, ...], n: int) -> str:
-    hit = _TAG_CACHE.get(occ)
-    if hit is None:
-        hit = classify_protocol_state(RingConfig(n, occ)).tag.value
-        _TAG_CACHE[occ] = hit
-    return hit
-
-
-def _canon_of(occ: tuple[int, ...], n: int) -> str:
-    hit = _CANON_CACHE.get(occ)
-    if hit is None:
-        hit = canonical_form(RingConfig(n, occ))
-        _CANON_CACHE[occ] = hit
-    return hit
+@lru_cache(maxsize=_CACHE_SIZE)
+def _canon_of(occ: tuple[int, ...]) -> str:
+    return canonical_form(RingConfig(len(occ), occ))
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +611,8 @@ def run(
                 robot=action.robot,
                 from_node=from_node,
                 to_node=to_node,
-                occ=_canon_of(occ, sim.n),
-                tag=_tag_of(occ, sim.n),
+                occ=_canon_of(occ),
+                tag=_analyze(occ).tag.value,
                 round=sim.round,
             )
         )

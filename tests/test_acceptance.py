@@ -25,7 +25,6 @@ from ring_gather import (
     run,
     run_verification,
 )
-from ring_gather.checker import _clear_all_caches
 
 from oracles import brute_symmetry_class, orbit_classes
 
@@ -42,7 +41,6 @@ def _emit(criterion, passed, detail=""):
 
 @pytest.fixture(scope="module")
 def battery():
-    _clear_all_caches()
     jobs = min(os.cpu_count() or 1, 4)
     report = run_verification(
         grids=GRIDS,

@@ -17,13 +17,12 @@ from ring_gather import (
     check_phase2_transitions,
     check_phase_monotonic,
     check_round_bound,
-    classify_protocol_state,
     enumerate_initial_configs,
-    explore,
     replay_trace,
     run,
-    successor_configs,
 )
+
+from ring_gather.checker import _successors, _xstate
 
 from oracles import orbit_classes
 
@@ -200,15 +199,11 @@ class TestAllPathsGather:
 
 class TestExplore:
     def test_depth_one_from_terminal(self):
-        levels = explore(TERMINAL_15, 1)
+        succ = _successors(TERMINAL_15.n, _xstate(TERMINAL_15))
         # exactly the two activations of the enabled pair
-        assert len(levels[1]) == 2
-        assert all(st.occ == TERMINAL_15.occ for st in levels[1])
-
-    def test_successor_configs_funnel(self):
-        configs = successor_configs(TERMINAL_15, 4)
-        tags = {classify_protocol_state(c).tag for c in configs}
-        assert tags == {Tag.TERMINAL, Tag.TERMINAL_SKEW, Tag.TARGET}
+        assert [label[0] for label, _ in succ] == ["activate", "activate"]
+        assert len({st for _, st in succ}) == 2
+        assert all(st.occ == TERMINAL_15.occ for _, st in succ)
 
 
 class TestLemma1:

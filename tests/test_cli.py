@@ -99,6 +99,23 @@ def test_classify_rejects_unused_flags(flag, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "f.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "15", "--k", "10", "--out", "f.txt"],
+        ["enumerate", "--n", "15", "--k", "10", "--occ", "1"],
+        ["simulate", "--occ", "1111111111.......", "--k", "3"],
+    ],
+)
+def test_enumerate_and_simulate_reject_unused_flags(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "f.txt").exists()
+
+
 @pytest.mark.parametrize("flag", [["--n", "15"], ["--k", "10"]])
 def test_verify_needs_both_n_and_k(flag):
     # --max-steps 1 keeps a run of the default grids short should the

@@ -1,8 +1,12 @@
 """Rule engine: classification, enabled moves, and the local decision path."""
 
+import importlib
 import itertools
+import pkgutil
 
 import pytest
+
+import ring_gather
 
 from ring_gather import (
     RingConfig,
@@ -17,7 +21,7 @@ from ring_gather import (
     local_decide,
     phase_of,
 )
-from ring_gather import protocol
+from ring_gather import protocol, simulate
 from ring_gather.protocol import (
     Decision,
     LocalDecision,
@@ -384,15 +388,32 @@ class TestDecisionTable:
             clear_caches()
             assert _local_decision(view) == _engine_decision(view), view
 
-    def test_table_is_bounded_and_cleared(self, protocol_views, monkeypatch):
-        monkeypatch.setattr(protocol, "_CLASS_MOVES_LIMIT", 16)
-        clear_caches()
-        for view in protocol_views:
-            assert _local_decision(view) == _engine_decision(view), view
-            assert len(protocol._CLASS_MOVES) <= 16
-        assert protocol._CLASS_MOVES
-        clear_caches()
-        assert not protocol._CLASS_MOVES
+    def test_table_is_bounded_and_cleared(self):
+        # every memo in the package, found by its lru_cache wrapper
+        caches = {}
+        for info in pkgutil.iter_modules(ring_gather.__path__):
+            mod = importlib.import_module(f"ring_gather.{info.name}")
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_info"):
+                    caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
+        assert {
+            "ring_gather.protocol._config",
+            "ring_gather.protocol._analyze",
+            "ring_gather.protocol._decide",
+            "ring_gather.protocol._class_moves",
+            "ring_gather.simulate._canon_of",
+        } <= set(caches)
+        for name, fn in caches.items():
+            assert fn.cache_info().maxsize == protocol._CACHE_SIZE, name
+        trace = run(RingConfig.from_string(".....1111111111"),
+                    builtin_scheduler("random", 1))
+        assert trace.outcome == "Gathered"
+        for name, fn in caches.items():
+            assert fn.cache_info().currsize > 0, name
+        protocol.clear_caches()
+        simulate.clear_caches()
+        for name, fn in caches.items():
+            assert fn.cache_info().currsize == 0, name
 
 
 class TestPhaseOf:
