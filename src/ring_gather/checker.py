@@ -23,12 +23,14 @@ from .ring import (
     classify_symmetry,
     compute_view,
     parse_occupancy,
+    rotations_fixing,
 )
 from .protocol import (
     NoRuleError,
     Phase,
     Tag,
     _analyze,
+    _decide,
     classify_protocol_state,
     decide_targets,
     enabled_moves,
@@ -96,135 +98,150 @@ def enumerate_initial_configs(n: int, k: int, relaxed: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# trace replay
+# trace checks: one pass over the events
 # ---------------------------------------------------------------------------
 
+_P3_ENTRY = {Tag.TERMINAL_SKEW.value, Tag.TARGET.value}
+# the phase of every tag string a trace may record; Unknown has none
+_PHASES = {tag.value: phase_of(tag) for tag in Tag if tag is not Tag.UNKNOWN}
+_PASS = Verdict.ok()
+_TOWERLESS = frozenset(".1")
 
-class _Replay:
-    """Walk a trace, maintaining the configuration and the pending intents,
-    and verify that each recorded canonical occupancy matches."""
 
-    def __init__(self, trace: Trace):
-        self.trace = trace
-        self.n = trace.n
-        self.occ = list(parse_occupancy(trace.initial))
-        self.pending: dict[int, tuple[int, object]] = {}  # robot -> (node, target)
-        self.moves = 0
+def check_trace(trace: Trace) -> dict[str, Verdict]:
+    """The verdicts of the five `TRACE_CHECKS`, by name, from one pass.
 
-    def play(self):
-        """Yield (event, mismatch) pairs; mismatch is None or a string."""
-        for ev in self.trace.events:
-            mismatch = None
-            if ev.kind == "activate":
-                if ev.robot in self.pending:
-                    mismatch = "activate with intent pending"
-                else:
-                    target = self._decide(ev.from_node)
-                    self.pending[ev.robot] = (ev.from_node, target)
-                if ev.to_node is not None:
-                    mismatch = mismatch or "activate with a target node"
-            elif ev.kind == "fire":
-                entry = self.pending.pop(ev.robot, None)
-                if entry is None:
-                    mismatch = "fire without intent"
-                else:
-                    node, target = entry
-                    if ev.to_node is not None:
-                        ok = (
-                            target == ev.to_node
-                            if not isinstance(target, tuple)
-                            else ev.to_node in target
-                        )
-                        if not ok or node != ev.from_node:
-                            mismatch = "fired move differs from intent"
-                        self.occ[ev.from_node] -= 1
-                        self.occ[ev.to_node] += 1
-                        self.moves += 1
-                    elif target is not None:
-                        mismatch = "intent to move fired as stay"
+    One replay re-executes the events from the initial occupancy with every
+    robot's pending intent (its node and decision). It fails at the first
+    event that disagrees with it and stops there; the checks that read only
+    recorded fields go on. At most one pending intent may be incorrect
+    (`intent_is_incorrect`) in Phases 1 and 2; a fresh intent equals the
+    fresh decision, so the count is redone only after a robot moves, an
+    intent is removed, or a decision finds no rule.
+    """
+    n = trace.n
+    occ = list(parse_occupancy(trace.initial))
+    occ_t = tuple(occ)
+    canon = _canon_of(occ_t)
+    pending: dict[int, tuple[int, object]] = {}  # robot -> (node, target)
+    incorrect, recount = 0, False
+    tower = periodic = outdated = monotonic = replay = None
+    reached_p3 = False
+    seen: set[str] = set()
+    for step, kind, robot, src, dst, occ_s, tag, _round in trace.events:
+        phase = _PHASES.get(tag)
+        if tower is None:
+            if tag in _P3_ENTRY:
+                tower = _PASS
+            elif not _TOWERLESS.issuperset(occ_s):
+                tower = Verdict.fail(step, "tower before Phase 3", occ_s)
+        if periodic is None and occ_s not in seen:
+            seen.add(occ_s)
+            towerless = "1" in occ_s and _TOWERLESS.issuperset(occ_s)
+            if towerless and rotations_fixing(parse_occupancy(occ_s)):
+                periodic = Verdict.fail(step, "periodic configuration reached", occ_s)
+        if monotonic is None:
+            if phase is None:
+                monotonic = Verdict.fail(step, "unknown state reached", occ_s)
+            elif phase is Phase.PHASE3 or phase is Phase.DONE:
+                reached_p3 = True
+            elif reached_p3:
+                monotonic = Verdict.fail(step, f"fell back to {tag}", occ_s)
+        if replay is not None:
+            continue
+        mismatch = None
+        if kind == "activate":
+            if robot in pending:
+                mismatch = "activate with intent pending"
+            elif not 0 <= src < n:
+                mismatch = "activate from a node off the ring"
+            elif not occ[src]:
+                mismatch = "activate from an empty node"
             else:
-                mismatch = f"unknown event kind {ev.kind!r}"
-            occ = tuple(self.occ)
-            if _canon_of(occ) != ev.occ:
-                mismatch = mismatch or "occupancy diverged from recording"
-            yield ev, mismatch
-
-    def _decide(self, node):
-        try:
-            return decide_targets(RingConfig(self.n, tuple(self.occ)), node)
-        except NoRuleError:
-            return "no-rule"
-
-    def incorrect_pending(self):
-        """Robots whose pending intent is incorrect (`intent_is_incorrect`)."""
-        cfg = RingConfig(self.n, tuple(self.occ))
-        return [
-            robot
-            for robot, (node, target) in self.pending.items()
-            if intent_is_incorrect(cfg, node, target)
-        ]
+                try:
+                    pending[robot] = (src, _decide(occ_t, src))
+                except NoRuleError:
+                    pending[robot] = (src, "no-rule")
+                    recount = True
+            if dst is not None:
+                mismatch = mismatch or "activate with a target node"
+        elif kind == "fire":
+            entry = pending.pop(robot, None)
+            recount = True
+            if entry is None:
+                mismatch = "fire without intent"
+            elif dst is not None:
+                node, target = entry
+                if not 0 <= dst < n:
+                    mismatch = "fire to a node off the ring"
+                elif node != src or dst not in (
+                    target if isinstance(target, tuple) else (target,)
+                ):
+                    mismatch = "fired move differs from intent"
+                elif not occ[src]:
+                    mismatch = "fire from an empty node"
+                else:
+                    occ[src] -= 1
+                    occ[dst] += 1
+                    occ_t = tuple(occ)
+                    canon = _canon_of(occ_t)
+            elif entry[1] is not None:
+                mismatch = "intent to move fired as stay"
+        else:
+            mismatch = f"unknown event kind {kind!r}"
+        if mismatch is None and canon != occ_s:
+            mismatch = "occupancy diverged from recording"
+        if mismatch is not None:
+            replay = Verdict.fail(step, mismatch, occ_s)
+            if outdated is None:
+                outdated = Verdict.fail(step, f"replay failed: {mismatch}", occ_s)
+        elif outdated is None:
+            if phase is None:
+                outdated = Verdict.fail(step, "unknown state reached", occ_s)
+            elif phase in (Phase.PHASE1, Phase.PHASE2) and len(pending) > 1:
+                if recount:
+                    try:
+                        incorrect = sum(
+                            intent_is_incorrect(occ_t, node, target)
+                            for node, target in pending.values()
+                        )
+                    except ValueError:  # no view from an empty node
+                        incorrect = None
+                    recount = False
+                if incorrect is None:
+                    outdated = Verdict.fail(step, "pending intent on an empty node", occ_s)
+                elif incorrect > 1:
+                    outdated = Verdict.fail(
+                        step, f"{incorrect} outdated robots with incorrect targets", occ_s
+                    )
+    verdicts = dict(no_tower_before_target=tower, never_periodic=periodic,
+                    outdated_bound=outdated, phase_monotonic=monotonic, replay=replay)
+    return {name: _PASS if v is None else v for name, v in verdicts.items()}
 
 
 def replay_trace(trace: Trace) -> Verdict:
     """Re-execute a trace and confirm every recorded occupancy string."""
-    replay = _Replay(trace)
-    for ev, mismatch in replay.play():
-        if mismatch:
-            return Verdict.fail(ev.step, mismatch, ev.occ)
-    return Verdict.ok()
-
-
-# ---------------------------------------------------------------------------
-# lemma checks on traces
-# ---------------------------------------------------------------------------
-
-_P3_ENTRY = {Tag.TERMINAL_SKEW.value, Tag.TARGET.value}
+    return check_trace(trace)["replay"]
 
 
 def check_no_tower_before_target(trace: Trace) -> Verdict:
-    """No tower may appear strictly before the first TerminalSkew or Target
-    state: Phases 1 and 2 only ever move robots onto empty nodes."""
-    for ev in trace.events:
-        if ev.tag in _P3_ENTRY:
-            return Verdict.ok()
-        if any(ch not in ".1" for ch in ev.occ):
-            return Verdict.fail(ev.step, "tower before Phase 3", ev.occ)
-    return Verdict.ok()
+    """No tower before the first TerminalSkew or Target state."""
+    return check_trace(trace)["no_tower_before_target"]
 
 
 def check_never_periodic(trace: Trace) -> Verdict:
     """No towerless configuration along the trace is periodic."""
-    checked = set()
-    for ev in trace.events:
-        if ev.occ in checked:
-            continue
-        checked.add(ev.occ)
-        cfg = RingConfig.from_string(ev.occ)
-        if cfg.towerless and cfg.k and classify_symmetry(cfg).periodic:
-            return Verdict.fail(ev.step, "periodic configuration reached", ev.occ)
-    return Verdict.ok()
+    return check_trace(trace)["never_periodic"]
 
 
 def check_outdated_bound(trace: Trace) -> Verdict:
-    """During Phases 1 and 2 at most one pending intent may disagree with a
-    fresh decision (at most one outdated robot with an incorrect target)."""
-    replay = _Replay(trace)
-    for ev, mismatch in replay.play():
-        if mismatch:
-            return Verdict.fail(ev.step, f"replay failed: {mismatch}", ev.occ)
-        try:
-            phase = phase_of(Tag(ev.tag))
-        except ValueError:
-            return Verdict.fail(ev.step, "unknown state reached", ev.occ)
-        if phase in (Phase.PHASE1, Phase.PHASE2):
-            bad = replay.incorrect_pending()
-            if len(bad) > 1:
-                return Verdict.fail(
-                    ev.step,
-                    f"{len(bad)} outdated robots with incorrect targets",
-                    ev.occ,
-                )
-    return Verdict.ok()
+    """At most one outdated robot with an incorrect target in Phases 1 and 2."""
+    return check_trace(trace)["outdated_bound"]
+
+
+def check_phase_monotonic(trace: Trace) -> Verdict:
+    """Once a trace reaches Phase 3 it never returns to Phase 1 or 2."""
+    return check_trace(trace)["phase_monotonic"]
 
 
 def check_round_bound(trace: Trace, c: int = 20) -> Verdict:
@@ -234,21 +251,6 @@ def check_round_bound(trace: Trace, c: int = 20) -> Verdict:
     bound = c * trace.n * trace.n
     if trace.rounds > bound:
         return Verdict.fail(None, f"{trace.rounds} rounds > {bound}", None)
-    return Verdict.ok()
-
-
-def check_phase_monotonic(trace: Trace) -> Verdict:
-    """Once a trace reaches Phase 3 it never returns to Phase 1 or 2."""
-    reached_p3 = False
-    for ev in trace.events:
-        try:
-            phase = phase_of(Tag(ev.tag))
-        except ValueError:
-            return Verdict.fail(ev.step, "unknown state reached", ev.occ)
-        if phase in (Phase.PHASE3, Phase.DONE):
-            reached_p3 = True
-        elif reached_p3:
-            return Verdict.fail(ev.step, f"fell back to {ev.tag}", ev.occ)
     return Verdict.ok()
 
 
@@ -648,13 +650,16 @@ class CheckStats:
         else:
             self.failed += 1
             if self.first_failure is None:
-                v = verdict.violation
-                self.first_failure = dict(
-                    context,
-                    step=v.step if v else None,
-                    description=v.description if v else "",
-                    occ=v.occ if v else None,
-                )
+                self.first_failure = dict(context, **_witness(verdict))
+
+
+def _witness(verdict: Verdict) -> dict:
+    v = verdict.violation
+    return {
+        "step": v.step if v else None,
+        "description": v.description if v else "",
+        "occ": v.occ if v else None,
+    }
 
 
 TRACE_CHECKS = {
@@ -682,8 +687,7 @@ def verify_one_start(initial: RingConfig, random_seeds: int, lazy_seeds: int, c:
             "seed": seed,
         }
         results.append((context, "round_bound", check_round_bound(trace, c)))
-        for cname, fn in TRACE_CHECKS.items():
-            results.append((context, cname, fn(trace)))
+        results += [(context, cname, v) for cname, v in check_trace(trace).items()]
         if consistency and name == "synchronous":
             results.append(
                 (context, "local_global_consistency", check_local_global_consistency(trace))
@@ -708,9 +712,12 @@ def run_verification(
     t0 = time.monotonic()
     stats: dict[str, CheckStats] = {}
     runs = 0
+    failures: list[dict] = []  # every failing verdict, in record order
 
     def record(name, verdict, context):
         stats.setdefault(name, CheckStats()).record(verdict, context)
+        if not verdict.passed:
+            failures.append(dict(context, check=name, **_witness(verdict)))
 
     for n, k in grids:
         starts = list(enumerate_initial_configs(n, k))
@@ -719,27 +726,18 @@ def run_verification(
             Verdict.ok() if starts else Verdict.fail(None, "no initial configs", None),
             {"n": n, "k": k},
         )
+        rest = [itertools.repeat(a) for a in (random_seeds, lazy_seeds, c, max_steps)]
         if jobs and jobs > 1:
             import concurrent.futures as cf
 
             with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(
-                        verify_one_start, cfg, random_seeds, lazy_seeds, c, max_steps
-                    )
-                    for cfg in starts
-                ]
-                for fut in futures:
-                    for context, name, verdict in fut.result():
-                        record(name, verdict, context)
-                        runs += 1
+                batches = list(pool.map(verify_one_start, starts, *rest))
         else:
-            for cfg in starts:
-                for context, name, verdict in verify_one_start(
-                    cfg, random_seeds, lazy_seeds, c, max_steps
-                ):
-                    record(name, verdict, context)
-                    runs += 1
+            batches = map(verify_one_start, starts, *rest)
+        for batch in batches:
+            for context, name, verdict in batch:
+                record(name, verdict, context)
+            runs += len(batch)
 
     for n in transition_ns:
         instances = build_phase2_instances(n, transition_k)
@@ -762,6 +760,7 @@ def run_verification(
             }
             for name, s in sorted(stats.items())
         },
+        "failures": failures,
         "stats": {"wall_seconds": round(elapsed, 3), "check_results": runs},
     }
     return report

@@ -36,6 +36,7 @@ from .protocol import (
     Tag,
     _CACHE_SIZE,
     _analyze,
+    _decide,
     classify_protocol_state,
     decide_targets,
 )
@@ -74,14 +75,12 @@ class PendingIntent:
         return state.move_count > self.snapshot_moves
 
     def is_incorrect(self, state: "SimState") -> bool:
-        return intent_is_incorrect(
-            RingConfig(state.n, state.occ), state.positions[self.robot], self.target
-        )
+        return intent_is_incorrect(state.occ, state.positions[self.robot], self.target)
 
 
-def intent_is_incorrect(cfg: RingConfig, node: int, target) -> bool:
+def intent_is_incorrect(occ: tuple[int, ...], node: int, target) -> bool:
     """Whether a pending intent of the robot on `node` differs from a fresh
-    decision on `cfg`.
+    decision on the occupancy `occ`.
 
     A pending Stay is never incorrect: firing it changes nothing and the
     robot then re-observes, so only intents with a target destination can
@@ -91,7 +90,7 @@ def intent_is_incorrect(cfg: RingConfig, node: int, target) -> bool:
     if target is None:
         return False
     try:
-        now = decide_targets(cfg, node)
+        now = _decide(occ, node)
     except NoRuleError:
         return True
     return _normalize_target(now) != _normalize_target(target)

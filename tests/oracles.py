@@ -3,9 +3,20 @@
 Everything here is written directly from first principles (explicit
 permutation images, full scans); none of it calls into ring_gather's
 geometry so that agreement between the two is meaningful.
+
+The one exception is the last section: the trace checks as five separate
+walkers with their own replay, the reference for `checker.check_trace`.
+They call the rule engine for decisions and phases, but none of the
+single-pass code.
 """
 
 from itertools import combinations
+
+from ring_gather import RingConfig, classify_symmetry
+from ring_gather.checker import Verdict
+from ring_gather.protocol import NoRuleError, Phase, Tag, decide_targets, phase_of
+from ring_gather.ring import parse_occupancy
+from ring_gather.simulate import Trace, _canon_of, intent_is_incorrect
 
 
 def rotate(occ, r):
@@ -130,3 +141,156 @@ def orbit_classes(n, k, include_periodic=False):
             continue
         classes.append(occ)
     return classes
+
+
+# ---------------------------------------------------------------------------
+# trace checks, one walker each
+# ---------------------------------------------------------------------------
+
+
+class _Replay:
+    """Walk a trace, maintaining the configuration and the pending intents,
+    and verify that each recorded canonical occupancy matches."""
+
+    def __init__(self, trace: Trace):
+        self.trace = trace
+        self.n = trace.n
+        self.occ = list(parse_occupancy(trace.initial))
+        self.pending: dict[int, tuple[int, object]] = {}  # robot -> (node, target)
+        self.moves = 0
+
+    def play(self):
+        """Yield (event, mismatch) pairs; mismatch is None or a string."""
+        for ev in self.trace.events:
+            mismatch = None
+            if ev.kind == "activate":
+                if ev.robot in self.pending:
+                    mismatch = "activate with intent pending"
+                else:
+                    target = self._decide(ev.from_node)
+                    self.pending[ev.robot] = (ev.from_node, target)
+                if ev.to_node is not None:
+                    mismatch = mismatch or "activate with a target node"
+            elif ev.kind == "fire":
+                entry = self.pending.pop(ev.robot, None)
+                if entry is None:
+                    mismatch = "fire without intent"
+                else:
+                    node, target = entry
+                    if ev.to_node is not None:
+                        ok = (
+                            target == ev.to_node
+                            if not isinstance(target, tuple)
+                            else ev.to_node in target
+                        )
+                        if not ok or node != ev.from_node:
+                            mismatch = "fired move differs from intent"
+                        self.occ[ev.from_node] -= 1
+                        self.occ[ev.to_node] += 1
+                        self.moves += 1
+                    elif target is not None:
+                        mismatch = "intent to move fired as stay"
+            else:
+                mismatch = f"unknown event kind {ev.kind!r}"
+            occ = tuple(self.occ)
+            if _canon_of(occ) != ev.occ:
+                mismatch = mismatch or "occupancy diverged from recording"
+            yield ev, mismatch
+
+    def _decide(self, node):
+        try:
+            return decide_targets(RingConfig(self.n, tuple(self.occ)), node)
+        except NoRuleError:
+            return "no-rule"
+
+    def incorrect_pending(self):
+        """Robots whose pending intent is incorrect (`intent_is_incorrect`)."""
+        occ = tuple(self.occ)
+        return [
+            robot
+            for robot, (node, target) in self.pending.items()
+            if intent_is_incorrect(occ, node, target)
+        ]
+
+
+def replay_trace(trace: Trace) -> Verdict:
+    """Re-execute a trace and confirm every recorded occupancy string."""
+    replay = _Replay(trace)
+    for ev, mismatch in replay.play():
+        if mismatch:
+            return Verdict.fail(ev.step, mismatch, ev.occ)
+    return Verdict.ok()
+
+
+_P3_ENTRY = {Tag.TERMINAL_SKEW.value, Tag.TARGET.value}
+
+
+def check_no_tower_before_target(trace: Trace) -> Verdict:
+    """No tower may appear strictly before the first TerminalSkew or Target
+    state: Phases 1 and 2 only ever move robots onto empty nodes."""
+    for ev in trace.events:
+        if ev.tag in _P3_ENTRY:
+            return Verdict.ok()
+        if any(ch not in ".1" for ch in ev.occ):
+            return Verdict.fail(ev.step, "tower before Phase 3", ev.occ)
+    return Verdict.ok()
+
+
+def check_never_periodic(trace: Trace) -> Verdict:
+    """No towerless configuration along the trace is periodic."""
+    checked = set()
+    for ev in trace.events:
+        if ev.occ in checked:
+            continue
+        checked.add(ev.occ)
+        cfg = RingConfig.from_string(ev.occ)
+        if cfg.towerless and cfg.k and classify_symmetry(cfg).periodic:
+            return Verdict.fail(ev.step, "periodic configuration reached", ev.occ)
+    return Verdict.ok()
+
+
+def check_outdated_bound(trace: Trace) -> Verdict:
+    """During Phases 1 and 2 at most one pending intent may disagree with a
+    fresh decision (at most one outdated robot with an incorrect target)."""
+    replay = _Replay(trace)
+    for ev, mismatch in replay.play():
+        if mismatch:
+            return Verdict.fail(ev.step, f"replay failed: {mismatch}", ev.occ)
+        try:
+            phase = phase_of(Tag(ev.tag))
+        except ValueError:
+            return Verdict.fail(ev.step, "unknown state reached", ev.occ)
+        if phase in (Phase.PHASE1, Phase.PHASE2):
+            bad = replay.incorrect_pending()
+            if len(bad) > 1:
+                return Verdict.fail(
+                    ev.step,
+                    f"{len(bad)} outdated robots with incorrect targets",
+                    ev.occ,
+                )
+    return Verdict.ok()
+
+
+def check_phase_monotonic(trace: Trace) -> Verdict:
+    """Once a trace reaches Phase 3 it never returns to Phase 1 or 2."""
+    reached_p3 = False
+    for ev in trace.events:
+        try:
+            phase = phase_of(Tag(ev.tag))
+        except ValueError:
+            return Verdict.fail(ev.step, "unknown state reached", ev.occ)
+        if phase in (Phase.PHASE3, Phase.DONE):
+            reached_p3 = True
+        elif reached_p3:
+            return Verdict.fail(ev.step, f"fell back to {ev.tag}", ev.occ)
+    return Verdict.ok()
+
+
+# keyed and ordered like checker.TRACE_CHECKS
+TRACE_CHECKS = {
+    "no_tower_before_target": check_no_tower_before_target,
+    "never_periodic": check_never_periodic,
+    "outdated_bound": check_outdated_bound,
+    "phase_monotonic": check_phase_monotonic,
+    "replay": replay_trace,
+}

@@ -1,5 +1,7 @@
 """Lemma checkers: enumeration, trace checks, transitions, replay."""
 
+import random
+
 import pytest
 
 from ring_gather import (
@@ -7,6 +9,7 @@ from ring_gather import (
     Tag,
     Trace,
     TraceEvent,
+    Verdict,
     builtin_scheduler,
     build_phase2_instances,
     canonical_form,
@@ -17,13 +20,16 @@ from ring_gather import (
     check_phase2_transitions,
     check_phase_monotonic,
     check_round_bound,
+    check_trace,
     enumerate_initial_configs,
     replay_trace,
     run,
+    run_verification,
 )
 
-from ring_gather.checker import _successors, _xstate
+from ring_gather.checker import TRACE_CHECKS, _successors, _xstate
 
+import oracles
 from oracles import orbit_classes
 
 
@@ -132,6 +138,191 @@ class TestTraceChecks:
             occ=ev.occ.replace("1", ".", 1)
         )
         assert not replay_trace(tampered).passed
+
+
+def with_event(trace, index, **fields):
+    """A copy of `trace` with fields of one event replaced."""
+    events = list(trace.events)
+    events[index] = events[index]._replace(**fields)
+    return Trace(**{**trace.__dict__, "events": events})
+
+
+def reference_verdicts(trace):
+    return {name: check(trace) for name, check in oracles.TRACE_CHECKS.items()}
+
+
+SCHEDULES = [("synchronous", None)]
+SCHEDULES += [("random", seed) for seed in range(4)]
+SCHEDULES += [("lazy", seed) for seed in range(2)]
+
+
+@pytest.fixture(scope="module")
+def traces_15():
+    """Every class at (15, 10) under each schedule of SCHEDULES."""
+    return [
+        run(cfg, builtin_scheduler(name, seed))
+        for cfg in enumerate_initial_configs(15, 10)
+        for name, seed in SCHEDULES
+    ]
+
+
+class TestReplayRobustness:
+    """A stored trace with a node that cannot be replayed gets a failing
+    replay verdict of its own instead of an exception or a pass."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return run(RingConfig.from_string(".1.1.11.1111.11"), builtin_scheduler("random", 0))
+
+    @staticmethod
+    def assert_replay_fails(tampered, index, description):
+        ev = tampered.events[index]
+        assert replay_trace(tampered) == Verdict.fail(ev.step, description, ev.occ)
+        assert check_outdated_bound(tampered) == Verdict.fail(
+            ev.step, f"replay failed: {description}", ev.occ
+        )
+
+    def test_activation_from_an_empty_node(self, trace):
+        assert trace.events[0].kind == "activate" and trace.initial[0] == "."
+        tampered = with_event(trace, 0, from_node=0)
+        self.assert_replay_fails(tampered, 0, "activate from an empty node")
+
+    def test_activation_from_a_node_off_the_ring(self, trace):
+        # robot 5 on node 9 decides Stay, so its fire names no node again
+        ev = trace.events[3]
+        assert (ev.kind, ev.robot, ev.from_node) == ("activate", 5, 9)
+        fire = next(e for e in trace.events[4:] if e.robot == ev.robot)
+        assert (fire.kind, fire.to_node) == ("fire", None)
+        tampered = with_event(trace, 3, from_node=99)
+        self.assert_replay_fails(tampered, 3, "activate from a node off the ring")
+
+    def test_fire_to_a_node_off_the_ring(self, trace):
+        ev = trace.events[10]
+        assert (ev.kind, ev.from_node, ev.to_node) == ("fire", 13, 12)
+        tampered = with_event(trace, 10, to_node=99)
+        self.assert_replay_fails(tampered, 10, "fire to a node off the ring")
+
+
+    def test_fire_from_an_emptied_node(self):
+        # robots 4 and 9 both claim the one robot on node 4 of Terminal, and
+        # both fire its move to node 5
+        start = TERMINAL_15.to_string()
+        before = canonical_form(TERMINAL_15)
+        after = canonical_form(RingConfig.from_string(start[:4] + ".1" + start[6:]))
+        trace = make_trace(
+            [
+                TraceEvent(1, "activate", 4, 4, None, before, "Terminal", 0),
+                TraceEvent(2, "activate", 9, 4, None, before, "Terminal", 0),
+                TraceEvent(3, "fire", 4, 4, 5, after, "TerminalSkew", 0),
+                TraceEvent(4, "fire", 9, 4, 5, after, "TerminalSkew", 0),
+            ],
+            initial=start,
+        )
+        assert replay_trace(trace) == Verdict.fail(4, "fire from an empty node", after)
+
+    def test_pending_intent_on_an_emptied_node(self):
+        # robot 6 snapshots on node 11; the tampered event puts it on node 12,
+        # whose own robot then moves away while robot 6's intent is pending,
+        # so counting incorrect intents would need a view from an empty node:
+        # the outdated-robot check fails there instead of raising
+        trace = run(RingConfig.from_string("..1.11.1.111111"), builtin_scheduler("lazy", 0))
+        assert trace.events[30][:4] == (31, "activate", 6, 11)
+        tampered = with_event(trace, 30, from_node=12)
+        assert check_outdated_bound(tampered) == Verdict.fail(
+            36, "pending intent on an empty node", "...1111.1.11111"
+        )
+        # the replay itself fails later, where robot 6 fires from node 11
+        assert replay_trace(tampered) == Verdict.fail(
+            46, "fired move differs from intent", "...11111..11111"
+        )
+
+
+class TestPinnedVerdicts:
+    def test_two_outdated_robots(self):
+        trace = run(RingConfig.from_string("..11.11..11.11.11"), builtin_scheduler("lazy", 0))
+        verdicts = check_trace(trace)
+        assert verdicts.pop("outdated_bound") == Verdict.fail(
+            6, "2 outdated robots with incorrect targets", "..1.11.11..11.111"
+        )
+        assert all(verdicts.values())
+
+    def test_tower_before_target(self):
+        trace = run(RingConfig.from_string(".1.1.11.1111.11"), builtin_scheduler("lazy", 0))
+        verdicts = check_trace(trace)
+        occ = "...1.21.111.111"
+        assert verdicts.pop("no_tower_before_target") == Verdict.fail(
+            27, "tower before Phase 3", occ
+        )
+        assert verdicts.pop("outdated_bound") == Verdict.fail(27, "unknown state reached", occ)
+        assert verdicts.pop("phase_monotonic") == Verdict.fail(27, "unknown state reached", occ)
+        assert all(verdicts.values())
+
+
+class TestSinglePassMatchesReference:
+    """`check_trace` against the five separate walkers of `oracles`."""
+
+    def test_every_class_under_every_schedule(self, traces_15):
+        for trace in traces_15:
+            verdicts = check_trace(trace)
+            assert list(verdicts) == list(TRACE_CHECKS)
+            assert verdicts == reference_verdicts(trace), (
+                trace.initial, trace.scheduler, trace.seed
+            )
+
+    def test_tampered_traces(self, traces_15):
+        rng = random.Random(6)
+        tags = [tag.value for tag in Tag] + ["Bogus"]
+        new_value = {
+            "kind": lambda trace: rng.choice(["activate", "fire", "look"]),
+            "robot": lambda trace: rng.randrange(trace.k),
+            "from_node": lambda trace: rng.randrange(trace.n),
+            "to_node": lambda trace: rng.choice([None, rng.randrange(trace.n)]),
+            "occ": lambda trace: rng.choice(trace.events).occ,
+            "tag": lambda trace: rng.choice(tags),
+        }
+        replay_failures = set()
+        compared = 0
+        for _ in range(600):
+            trace = rng.choice(traces_15)
+            index = rng.randrange(len(trace.events))
+            field = rng.choice(["drop", *new_value])
+            if field == "drop":
+                events = trace.events[:index] + trace.events[index + 1 :]
+                tampered = Trace(**{**trace.__dict__, "events": events})
+            else:
+                tampered = with_event(trace, index, **{field: new_value[field](trace)})
+            try:
+                want = reference_verdicts(tampered)
+            except (ValueError, IndexError):
+                continue  # the reference cannot replay it (an empty node, say)
+            assert check_trace(tampered) == want, (trace.initial, trace.scheduler, field, index)
+            compared += 1
+            if not want["replay"].passed:
+                replay_failures.add(want["replay"].violation.description)
+        assert compared > 500
+        assert replay_failures == {
+            "activate with intent pending",
+            "activate with a target node",
+            "fire without intent",
+            "fired move differs from intent",
+            "intent to move fired as stay",
+            "unknown event kind 'look'",
+            "occupancy diverged from recording",
+        }
+
+
+def test_verify_report_lists_every_failure():
+    report = run_verification(grids=((15, 10),), random_seeds=0, lazy_seeds=2)
+    failures = report["failures"]
+    assert len(failures) == sum(entry["failed"] for entry in report["checks"].values())
+    assert failures
+    for failure in failures:
+        assert list(failure) == [
+            "initial", "scheduler", "seed", "check", "step", "description", "occ"
+        ]
+    for name, entry in report["checks"].items():
+        mine = [{k: v for k, v in f.items() if k != "check"} for f in failures if f["check"] == name]
+        assert mine[:1] == ([entry["first_counterexample"]] if entry["failed"] else [])
 
 
 class TestPhase2Transitions:
