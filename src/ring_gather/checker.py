@@ -26,6 +26,8 @@ from .ring import (
     rotations_fixing,
 )
 from .protocol import (
+    _CACHE_SIZE,
+    _CLEAR_HOOKS,
     NoRuleError,
     Phase,
     Tag,
@@ -303,14 +305,23 @@ def _initial_event(trace: Trace):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _XState:
     occ: tuple[int, ...]
-    pending: frozenset  # of (node, normalized target)
+    pending: tuple  # of (node, sorted target nodes), sorted by node
 
 
 def _xstate(cfg: RingConfig) -> _XState:
-    return _XState(cfg.occ, frozenset())
+    return _XState(cfg.occ, ())
+
+
+# States from which every branch ends gathered, with no cycle and no dead
+# end; every state reachable from one has the same property, so any
+# unbudgeted search may skip them, whatever start it began from. Bounded
+# like the rule engine's memos and emptied with them: its entries follow
+# from the rules.
+_PROVEN: set[_XState] = set()
+_CLEAR_HOOKS.append(_PROVEN.clear)
 
 
 def _successors(n: int, state: _XState):
@@ -318,24 +329,23 @@ def _successors(n: int, state: _XState):
     pending fires.  Activating a robot whose decision is Stay never changes
     any configuration, so those actions are omitted; every reachable
     configuration sequence is preserved."""
-    cfg = RingConfig(n, state.occ)
-    pending_nodes = {node for node, _ in state.pending}
+    occ, pending = state.occ, state.pending
     out = []
-    tag = classify_protocol_state(cfg).tag
-    if tag not in (Tag.GATHERED, Tag.UNKNOWN):
-        for intent in sorted(enabled_moves(cfg), key=lambda m: m.robot_node):
-            node = intent.robot_node
-            if node in pending_nodes:
-                continue
-            new_pending = state.pending | {(node, intent.targets)}
-            out.append((("activate", node), _XState(state.occ, new_pending)))
-    for node, targets in sorted(state.pending):
-        rest = state.pending - {(node, targets)}
+    a = _analyze(occ)
+    if a.tag is not Tag.GATHERED and a.tag is not Tag.UNKNOWN:
+        busy = {node for node, _ in pending}
+        for node in sorted(a.moves):
+            if occ[node] >= 2 or node in busy:
+                continue  # tower robots never move
+            entry = (node, tuple(sorted(a.moves[node])))
+            out.append((("activate", node), _XState(occ, tuple(sorted(pending + (entry,))))))
+    for i, (node, targets) in enumerate(pending):
+        rest = pending[:i] + pending[i + 1:]
         for t in targets:
-            occ = list(state.occ)
-            occ[node] -= 1
-            occ[t] += 1
-            out.append((("fire", node, t), _XState(tuple(occ), rest)))
+            nxt = list(occ)
+            nxt[node] -= 1
+            nxt[t] += 1
+            out.append((("fire", node, t), _XState(tuple(nxt), rest)))
     return out
 
 
@@ -350,11 +360,15 @@ def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
     on the current branch fails too, since a scheduler could repeat that
     cycle forever; without this check the stack would grow without end.
 
-    The memo maps each state to the largest remaining action budget it was
-    proven for; `budget` is unbounded for a search that runs until every
-    branch ends.  `max_states` caps the memo's size.
+    The memo maps each expanded state to the largest remaining action
+    budget it was proven for.  An unbounded `budget` runs every branch to
+    its end, as `check_all_paths_gather` does: such a search also skips the
+    states in `_PROVEN` and, when it ends, passing or not, adds the ones it
+    proved.  A search fails rather than expand a state once it has proven
+    `max_states` states itself.
     """
     memo: dict[_XState, float] = {}
+    shared = _PROVEN if budget == math.inf else frozenset()
     on_path: set[_XState] = set()
     stack: list = []  # (state, its successor iterator) for each state on the path
 
@@ -362,11 +376,9 @@ def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
         depth = len(stack)
         verdict = leaf(state, depth)
         if verdict is not None:
-            if verdict.passed:
-                memo[state] = budget - depth
             return verdict
-        if memo.get(state, -1) >= budget - depth:
-            return Verdict.ok()
+        if state in shared or memo.get(state, -1) >= budget - depth:
+            return _PASS
         if state in on_path:
             return Verdict.fail(
                 depth,
@@ -385,22 +397,33 @@ def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
         stack.append((state, iter(succs)))
         return None
 
-    verdict = enter(start)
-    if verdict is not None:
-        return verdict
-    while stack:
-        state, succs = stack[-1]
-        succ = next(succs, None)
-        if succ is None:
-            stack.pop()
-            on_path.discard(state)
-            memo[state] = budget - len(stack)
-            continue
-        _label, nxt = succ
-        verdict = enter(nxt)
-        if verdict is not None and not verdict.passed:
+    def search() -> Verdict:
+        verdict = enter(start)
+        if verdict is not None:
             return verdict
-    return Verdict.ok()
+        while stack:
+            state, succs = stack[-1]
+            succ = next(succs, None)
+            if succ is None:
+                stack.pop()
+                on_path.discard(state)
+                memo[state] = budget - len(stack)
+                continue
+            _label, nxt = succ
+            verdict = enter(nxt)
+            if verdict is not None and not verdict.passed:
+                return verdict
+        return _PASS
+
+    verdict = search()
+    if shared is _PROVEN:
+        if len(_PROVEN) + len(memo) > _CACHE_SIZE:
+            _PROVEN.clear()  # loses work only: every entry is a proof
+        # past the bound keep the last proven: nearest the start, they cover most
+        _PROVEN.update(
+            memo if len(memo) <= _CACHE_SIZE else itertools.islice(reversed(memo), _CACHE_SIZE)
+        )
+    return verdict
 
 
 def check_all_paths_gather(cfg: RingConfig, max_states: int = 200_000) -> Verdict:
@@ -408,12 +431,18 @@ def check_all_paths_gather(cfg: RingConfig, max_states: int = 200_000) -> Verdic
     branch ends gathered.  Every explored action moves a robot eventually
     (stale Stay cycles never change configurations and are omitted).  A
     branch fails when it reaches a state with no applicable rule or repeats
-    a configuration (a scheduler could cycle forever), and the search fails
-    when it exceeds the state budget."""
+    a configuration (a scheduler could cycle forever).
+
+    The states a search proves (every branch from them gathers) are kept
+    across calls, so searching every start of a grid proves each state
+    once; `protocol.clear_caches()` forgets them.  `max_states` bounds the
+    states this call adds to that table: the search fails when it would
+    expand a state after proving that many.  States proven by an earlier
+    call do not count."""
     n = cfg.n
 
     def gathered(state: _XState, _depth: int) -> Verdict | None:
-        return Verdict.ok() if sum(1 for c in state.occ if c) == 1 else None
+        return _PASS if state.occ.count(0) == n - 1 else None
 
     def dead_end(state: _XState, _depth: int) -> Verdict:
         return Verdict.fail(

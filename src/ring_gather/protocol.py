@@ -208,14 +208,19 @@ def _holes_after(runs, n):
 # by plain tuples and ints: hashing a RingConfig runs in Python and costs
 # more than the lookup it keys.
 _CACHE_SIZE = 65536
+# the `clear` of each memo kept outside this module whose entries derive
+# from the rules (the checker's proven states); `clear_caches` empties them too
+_CLEAR_HOOKS: list = []
 
 
 def clear_caches() -> None:
-    """Empty the rule engine's memos."""
+    """Empty the rule engine's memos and every memo derived from them."""
     _config.cache_clear()
     _analyze.cache_clear()
     _decide.cache_clear()
     _class_moves.cache_clear()
+    for clear in _CLEAR_HOOKS:
+        clear()
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from ring_gather import (
     run_verification,
 )
 
+from ring_gather import checker, check_all_paths_gather, protocol
 from ring_gather.checker import TRACE_CHECKS, _successors, _xstate
 
 import oracles
@@ -343,15 +344,11 @@ class TestPhase2Transitions:
 
 class TestAllPathsGather:
     def test_terminal_gathers_under_every_interleaving(self):
-        from ring_gather import check_all_paths_gather
-
         for n in (15, 17):
             inst = build_phase2_instances(n, 10)
             assert check_all_paths_gather(inst[Tag.TERMINAL]).passed
 
     def test_phase2_instances_gather_under_every_interleaving(self):
-        from ring_gather import check_all_paths_gather
-
         for n in (15, 17):
             for tag, cfg in build_phase2_instances(n, 10).items():
                 verdict = check_all_paths_gather(cfg)
@@ -361,17 +358,20 @@ class TestAllPathsGather:
         # Some initial classes admit an interleaving whose stale phase-1
         # intent later collides with a legal move; the exhaustive census of
         # those classes is a deterministic property of the rule engine.
-        from ring_gather import check_all_paths_gather
-
         bad15 = sum(
             0 if check_all_paths_gather(cfg, max_states=3_000_000).passed else 1
             for cfg in enumerate_initial_configs(15, 10)
         )
         assert bad15 == 12
 
-    def test_defect_start_has_reachable_failing_branch(self):
-        from ring_gather import check_all_paths_gather
+    @pytest.mark.parametrize(
+        "n,k,classes,bad", [(17, 10, 600, 54), (19, 10, 2494, 163), (19, 12, 1368, 196)]
+    )
+    def test_failure_branch_census_of_larger_grids(self, n, k, classes, bad):
+        verdicts = [check_all_paths_gather(c) for c in enumerate_initial_configs(n, k)]
+        assert (len(verdicts), sum(not v.passed for v in verdicts)) == (classes, bad)
 
+    def test_defect_start_has_reachable_failing_branch(self):
         verdict = check_all_paths_gather(RingConfig.from_string(".1.1.11.1111.11"))
         assert not verdict.passed
         # the failing branch ends with a tower outside the rule set
@@ -380,12 +380,62 @@ class TestAllPathsGather:
     def test_cycle_is_a_failing_verdict(self):
         # outside the protocol's sizes a scheduler can move robots back and
         # forth forever; the search reports the repeated configuration
-        from ring_gather import check_all_paths_gather
-
         verdict = check_all_paths_gather(RingConfig.from_string("..111"))
         assert not verdict.passed
         assert "repeated" in verdict.violation.description
         assert RingConfig.from_string(verdict.violation.occ).k == 3
+
+
+def _fields(verdict):
+    v = verdict.violation
+    return (verdict.passed, v and v.step, v and v.description, v and v.occ)
+
+
+# every class at (15, 10), then the cycle outside the protocol's sizes
+PROVEN_STARTS = [*enumerate_initial_configs(15, 10), RingConfig.from_string("..111")]
+
+
+@pytest.fixture(scope="module")
+def fresh_verdicts():
+    """Each start's verdict from a search that shares no proven state."""
+    out = {}
+    for cfg in PROVEN_STARTS:
+        protocol.clear_caches()
+        out[cfg.to_string()] = _fields(check_all_paths_gather(cfg))
+    return out
+
+
+class TestProvenTable:
+    """The all-paths search keeps the states it proves across calls."""
+
+    @pytest.mark.parametrize("bound", [None, 16])
+    @pytest.mark.parametrize("order", ["enumeration", "reverse"])
+    def test_matches_fresh_search(self, fresh_verdicts, order, bound, monkeypatch):
+        if bound is not None:
+            monkeypatch.setattr(checker, "_CACHE_SIZE", bound)
+        starts = PROVEN_STARTS if order == "enumeration" else PROVEN_STARTS[::-1]
+        protocol.clear_caches()
+        for cfg in starts:
+            assert _fields(check_all_paths_gather(cfg)) == fresh_verdicts[cfg.to_string()]
+            assert len(checker._PROVEN) <= checker._CACHE_SIZE
+        assert checker._PROVEN
+        assert sum(not v[0] for v in fresh_verdicts.values()) == 12 + 1
+
+    def test_state_budget_counts_only_new_proofs(self, monkeypatch):
+        cfg = build_phase2_instances(15, 10)[Tag.TERMINAL]
+        protocol.clear_caches()
+        verdict = check_all_paths_gather(cfg, max_states=1)
+        assert _fields(verdict) == (False, None, "state budget 1 exceeded", None)
+        assert check_all_paths_gather(cfg)
+        expanded = []
+
+        def successors(n, state):
+            expanded.append(state)
+            return _successors(n, state)
+
+        monkeypatch.setattr(checker, "_successors", successors)
+        assert check_all_paths_gather(cfg, max_states=1)
+        assert expanded == []
 
 
 class TestExplore:

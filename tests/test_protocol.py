@@ -21,7 +21,8 @@ from ring_gather import (
     local_decide,
     phase_of,
 )
-from ring_gather import protocol, simulate
+from ring_gather import checker, protocol, simulate
+from ring_gather.checker import check_all_paths_gather
 from ring_gather.protocol import (
     Decision,
     LocalDecision,
@@ -414,6 +415,21 @@ class TestDecisionTable:
         simulate.clear_caches()
         for name, fn in caches.items():
             assert fn.cache_info().currsize == 0, name
+
+    def test_proven_table_is_bounded_and_cleared(self, monkeypatch):
+        # the one memo that is not an lru_cache: the all-paths search's
+        # proven states, which the rule engine's clear must empty too
+        assert checker._CACHE_SIZE == protocol._CACHE_SIZE
+        protocol.clear_caches()
+        assert not checker._PROVEN
+        assert check_all_paths_gather(build_phase2_instances(15, 10)[Tag.TERMINAL])
+        assert checker._PROVEN
+        protocol.clear_caches()
+        assert not checker._PROVEN
+        monkeypatch.setattr(checker, "_CACHE_SIZE", 16)
+        for cfg in itertools.islice(enumerate_initial_configs(15, 10), 20):
+            check_all_paths_gather(cfg)
+            assert 0 < len(checker._PROVEN) <= 16
 
 
 class TestPhaseOf:
