@@ -740,7 +740,7 @@ def run_verification(
     process pool."""
     t0 = time.monotonic()
     stats: dict[str, CheckStats] = {}
-    runs = 0
+    verdicts = 0
     failures: list[dict] = []  # every failing verdict, in record order
 
     def record(name, verdict, context):
@@ -766,7 +766,7 @@ def run_verification(
         for batch in batches:
             for context, name, verdict in batch:
                 record(name, verdict, context)
-            runs += len(batch)
+            verdicts += len(batch)
 
     for n in transition_ns:
         instances = build_phase2_instances(n, transition_k)
@@ -790,6 +790,6 @@ def run_verification(
             for name, s in sorted(stats.items())
         },
         "failures": failures,
-        "stats": {"wall_seconds": round(elapsed, 3), "check_results": runs},
+        "stats": {"wall_seconds": round(elapsed, 3), "check_results": verdicts},
     }
     return report

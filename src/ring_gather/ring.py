@@ -8,7 +8,7 @@ decision on is derived from distances between occupied nodes.
 This module is purely geometric and protocol-agnostic.  It provides:
 
 * occupancy-string encoding ('.' = empty, digits/letters = robot count),
-* segments, holes and maximal runs of occupied nodes,
+* holes and maximal runs of occupied nodes,
 * robot views (direction-maximal distance sequences plus a local tower flag),
 * rigid / symmetric / periodic classification with axis and leader/slave
   hole reporting,
@@ -102,15 +102,6 @@ class RingConfig:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Path between two occupied nodes whose interior is empty."""
-
-    from_node: int
-    to_node: int
-    distance: int  # number of edges
-
-
-@dataclass(frozen=True)
 class Hole:
     """Maximal run of consecutive empty nodes."""
 
@@ -136,11 +127,6 @@ class View:
 
     dists: tuple[int, ...]
     tower_here: bool
-
-    @property
-    def symmetric(self) -> bool:
-        """True when both directions read identically from this node."""
-        return self.dists == self.dists[::-1]
 
 
 @dataclass(frozen=True)
@@ -256,19 +242,6 @@ def hole_at(cfg: RingConfig, node: int) -> Hole:
     while cfg.occ[(start + size) % n] == 0:
         size += 1
     return Hole(start, size)
-
-
-def segments(cfg: RingConfig) -> tuple[Segment, ...]:
-    """Segments between consecutive occupied nodes, clockwise."""
-    occ_nodes = cfg.occupied
-    if len(occ_nodes) < 2:
-        raise ValueError("segments need at least 2 occupied nodes")
-    n = cfg.n
-    out = []
-    for i, u in enumerate(occ_nodes):
-        v = occ_nodes[(i + 1) % len(occ_nodes)]
-        out.append(Segment(u, v, (v - u) % n))
-    return tuple(out)
 
 
 def compute_view(cfg: RingConfig, node: int) -> View:

@@ -67,15 +67,8 @@ class PendingIntent:
 
     robot: int
     snapshot_step: int
-    snapshot_moves: int
     snapshot_occ: tuple[int, ...]
     target: int | tuple[int, int] | None
-
-    def is_outdated(self, state: "SimState") -> bool:
-        return state.move_count > self.snapshot_moves
-
-    def is_incorrect(self, state: "SimState") -> bool:
-        return intent_is_incorrect(state.occ, state.positions[self.robot], self.target)
 
 
 def intent_is_incorrect(occ: tuple[int, ...], node: int, target) -> bool:
@@ -104,50 +97,10 @@ def _normalize_target(t):
     return t
 
 
-@dataclass(frozen=True)
-class SimState:
-    """Immutable snapshot of a simulation: configuration, per-robot
-    positions and pending intents, plus step/round accounting."""
-
-    n: int
-    occ: tuple[int, ...]
-    positions: tuple[int, ...]
-    pending: tuple[PendingIntent | None, ...]
-    step: int
-    round: int
-    moved_this_round: frozenset[int]
-    move_count: int
-    last_cycle_step: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.positions)
-
-    @property
-    def config(self) -> RingConfig:
-        return RingConfig(self.n, self.occ)
-
-    @classmethod
-    def initial(cls, cfg: RingConfig) -> "SimState":
-        positions = []
-        for node, count in enumerate(cfg.occ):
-            positions.extend([node] * count)
-        k = len(positions)
-        return cls(
-            n=cfg.n,
-            occ=cfg.occ,
-            positions=tuple(positions),
-            pending=(None,) * k,
-            step=0,
-            round=0,
-            moved_this_round=frozenset(),
-            move_count=0,
-            last_cycle_step=(0,) * k,
-        )
-
-
 class _Sim:
-    """Mutable engine behind `step` and `run`."""
+    """The simulator's state: the configuration, per-robot positions and
+    pending intents, plus step/round accounting.  `run` drives it through
+    `apply`; schedulers read it."""
 
     __slots__ = (
         "n",
@@ -158,36 +111,21 @@ class _Sim:
         "step",
         "round",
         "moved_this_round",
-        "move_count",
         "last_cycle_step",
         "_cfg",
     )
 
-    def __init__(self, state: SimState):
-        self.n = state.n
-        self.k = state.k
-        self.occ = list(state.occ)
-        self.positions = list(state.positions)
-        self.pending = list(state.pending)
-        self.step = state.step
-        self.round = state.round
-        self.moved_this_round = set(state.moved_this_round)
-        self.move_count = state.move_count
-        self.last_cycle_step = list(state.last_cycle_step)
-        self._cfg = None
-
-    def freeze(self) -> SimState:
-        return SimState(
-            n=self.n,
-            occ=tuple(self.occ),
-            positions=tuple(self.positions),
-            pending=tuple(self.pending),
-            step=self.step,
-            round=self.round,
-            moved_this_round=frozenset(self.moved_this_round),
-            move_count=self.move_count,
-            last_cycle_step=tuple(self.last_cycle_step),
-        )
+    def __init__(self, cfg: RingConfig):
+        self.n = cfg.n
+        self.occ = list(cfg.occ)
+        self.positions = [node for node, count in enumerate(cfg.occ) for _ in range(count)]
+        self.k = len(self.positions)
+        self.pending = [None] * self.k
+        self.step = 0
+        self.round = 0
+        self.moved_this_round = set()
+        self.last_cycle_step = [0] * self.k
+        self._cfg = cfg
 
     def config(self) -> RingConfig:
         if self._cfg is None:
@@ -209,7 +147,6 @@ class _Sim:
             self.pending[robot] = PendingIntent(
                 robot=robot,
                 snapshot_step=self.step,
-                snapshot_moves=self.move_count,
                 snapshot_occ=tuple(self.occ),
                 target=target,
             )
@@ -231,7 +168,6 @@ class _Sim:
         self.occ[node] -= 1
         self.occ[target] += 1
         self.positions[robot] = target
-        self.move_count += 1
         self._cfg = None
         return node, target
 
@@ -244,13 +180,6 @@ class _Sim:
 
     def gathered(self) -> bool:
         return len(set(self.positions)) == 1
-
-
-def step(state: SimState, action: SchedulerAction) -> SimState:
-    """Pure single-step transition; see `_Sim.apply` for the semantics."""
-    sim = _Sim(state)
-    sim.apply(action)
-    return sim.freeze()
 
 
 class TraceEvent(NamedTuple):
@@ -491,7 +420,7 @@ def builtin_scheduler(name: str, seed: int | None = None) -> Scheduler:
     """Construct one of the built-in adversaries by name."""
     if name == "synchronous":
         return SynchronousScheduler()
-    if name in ("random", "random_fair"):
+    if name == "random":
         return RandomFairScheduler(0 if seed is None else seed)
     if name == "lazy":
         return LazyScheduler(0 if seed is None else seed)
@@ -557,7 +486,7 @@ def run(
     the most starved robot replaces the proposal.
     """
     validate_initial(initial, relaxed=relaxed)
-    sim = _Sim(SimState.initial(initial))
+    sim = _Sim(initial)
     bound = 4 * sim.k if fairness_bound is None else fairness_bound
     seed = getattr(scheduler, "seed", None)
     trace = Trace(

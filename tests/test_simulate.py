@@ -1,21 +1,21 @@
 """CORDA execution semantics, schedulers, traces, determinism."""
 
+import hashlib
+
 import pytest
 
 from ring_gather import (
     InvalidStartError,
     RingConfig,
     SchedulerAction,
-    SimState,
     Tag,
     Trace,
     builtin_scheduler,
     classify_protocol_state,
     run,
-    step,
 )
 from ring_gather.protocol import decide_targets
-from ring_gather.simulate import _Sim
+from ring_gather.simulate import _Sim, intent_is_incorrect
 
 
 def cfg_at(n, positions):
@@ -24,47 +24,50 @@ def cfg_at(n, positions):
 
 TERMINAL_15 = cfg_at(15, list(range(5)) + list(range(6, 11)))
 BLOCK_15 = cfg_at(15, range(10))
+EITHER_WAY_15 = RingConfig.from_string("..111.1.111.111")  # robot 3 may go either way
 
 
 class TestStep:
     def test_activate_records_intent(self):
-        state = SimState.initial(BLOCK_15)
-        state = step(state, SchedulerAction("activate", 0))
-        intent = state.pending[0]
+        sim = _Sim(BLOCK_15)
+        sim.apply(SchedulerAction("activate", 0))
+        intent = sim.pending[0]
         assert intent is not None
         assert intent.target == 14
-        assert state.occ == BLOCK_15.occ
+        assert tuple(sim.occ) == BLOCK_15.occ
 
     def test_fire_stay_is_noop(self):
-        state = SimState.initial(BLOCK_15)
-        state = step(state, SchedulerAction("activate", 5))
-        assert state.pending[5].target is None
-        state = step(state, SchedulerAction("fire", 5))
-        assert state.occ == BLOCK_15.occ
-        assert state.pending[5] is None
+        sim = _Sim(BLOCK_15)
+        sim.apply(SchedulerAction("activate", 5))
+        assert sim.pending[5].target is None
+        sim.apply(SchedulerAction("fire", 5))
+        assert tuple(sim.occ) == BLOCK_15.occ
+        assert sim.pending[5] is None
 
     def test_activate_then_fire_moves_border(self):
-        state = SimState.initial(BLOCK_15)
-        state = step(state, SchedulerAction("activate", 0))
-        state = step(state, SchedulerAction("fire", 0))
-        assert state.positions[0] == 14
-        assert state.occ[0] == 0 and state.occ[14] == 1
+        sim = _Sim(BLOCK_15)
+        sim.apply(SchedulerAction("activate", 0))
+        sim.apply(SchedulerAction("fire", 0))
+        assert sim.positions[0] == 14
+        assert sim.occ[0] == 0 and sim.occ[14] == 1
 
     def test_outdated_intent_fires_on_old_target(self):
         # both Terminal movers snapshot; the second fires after the first
         # created the tower's first robot, still onto the same node
-        state = SimState.initial(TERMINAL_15)
-        a = next(r for r, p in enumerate(state.positions) if p == 4)
-        b = next(r for r, p in enumerate(state.positions) if p == 6)
-        state = step(state, SchedulerAction("activate", a))
-        state = step(state, SchedulerAction("activate", b))
-        state = step(state, SchedulerAction("fire", a))
-        assert state.occ[5] == 1
-        intent = state.pending[b]
-        assert intent.is_outdated(state)
-        assert not intent.is_incorrect(state)  # the catch-up move agrees
-        state = step(state, SchedulerAction("fire", b))
-        assert state.occ[5] == 2  # tower on the axis node
+        sim = _Sim(TERMINAL_15)
+        a = sim.positions.index(4)
+        b = sim.positions.index(6)
+        sim.apply(SchedulerAction("activate", a))
+        sim.apply(SchedulerAction("activate", b))
+        sim.apply(SchedulerAction("fire", a))
+        assert sim.occ[5] == 1
+        intent = sim.pending[b]
+        occ = tuple(sim.occ)
+        assert intent.snapshot_occ != occ  # outdated
+        # the catch-up move agrees with a fresh decision
+        assert not intent_is_incorrect(occ, sim.positions[b], intent.target)
+        sim.apply(SchedulerAction("fire", b))
+        assert sim.occ[5] == 2  # tower on the axis node
 
     def test_pending_stay_is_never_incorrect(self):
         # under random seed 1, robot 2 on node 7 snapshots a Stay that a
@@ -72,33 +75,50 @@ class TestStep:
         # but firing the Stay changes nothing and the robot then re-observes
         cfg = RingConfig.from_string(".....1111111111")
         trace = run(cfg, builtin_scheduler("random", 1))
-        state = SimState.initial(cfg)
+        sim = _Sim(cfg)
         for ev in trace.events[:35]:
-            state = step(state, SchedulerAction(ev.kind, ev.robot, ev.to_node))
-        intent = state.pending[2]
-        assert intent.target is None and state.positions[2] == 7
-        assert decide_targets(state.config, 7) == 6
-        assert intent.is_outdated(state)
-        assert not intent.is_incorrect(state)
+            sim.apply(SchedulerAction(ev.kind, ev.robot, ev.to_node))
+        intent = sim.pending[2]
+        occ = tuple(sim.occ)
+        assert intent.target is None and sim.positions[2] == 7
+        assert decide_targets(sim.config(), 7) == 6
+        assert intent.snapshot_occ != occ  # outdated
+        assert not intent_is_incorrect(occ, 7, intent.target)
 
-    def test_double_activate_rejected(self):
-        state = SimState.initial(BLOCK_15)
-        state = step(state, SchedulerAction("activate", 0))
-        with pytest.raises(ValueError, match="scheduler contract violation"):
-            step(state, SchedulerAction("activate", 0))
-
-    def test_fire_without_intent_rejected(self):
-        state = SimState.initial(BLOCK_15)
-        with pytest.raises(ValueError, match="scheduler contract violation"):
-            step(state, SchedulerAction("fire", 3))
+    @pytest.mark.parametrize(
+        "setup, action, reason",
+        [
+            ([("activate", 0)], ("activate", 0), "intent pending"),
+            ([], ("fire", 3), "nothing to fire"),
+            ([], ("activate", 10), "no such robot"),
+            ([], ("move", 0), "bad kind 'move'"),
+            # robot 3, on node 6, may step to node 5 or node 7
+            ([("activate", 3)], ("fire", 3), "direction needed"),
+            ([("activate", 3)], ("fire", 3, 8), "direction needed"),
+        ],
+        ids=[
+            "intent-pending",
+            "nothing-to-fire",
+            "no-such-robot",
+            "bad-kind",
+            "direction-missing",
+            "direction-off-pair",
+        ],
+    )
+    def test_contract_violation_rejected(self, setup, action, reason):
+        sim = _Sim(EITHER_WAY_15)
+        for act in setup:
+            sim.apply(SchedulerAction(*act))
+        with pytest.raises(ValueError, match=f"scheduler contract violation: {reason}"):
+            sim.apply(SchedulerAction(*action))
 
     def test_round_counts_when_every_robot_cycled(self):
-        state = SimState.initial(BLOCK_15)
-        for r in range(state.k):
-            state = step(state, SchedulerAction("activate", r))
-        for r in range(state.k):
-            state = step(state, SchedulerAction("fire", r))
-        assert state.round == 1
+        sim = _Sim(BLOCK_15)
+        for r in range(sim.k):
+            sim.apply(SchedulerAction("activate", r))
+        for r in range(sim.k):
+            sim.apply(SchedulerAction("fire", r))
+        assert sim.round == 1
 
 
 class TestRun:
@@ -172,8 +192,9 @@ class TestRun:
 
 class TestSchedulers:
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            builtin_scheduler("haphazard")
+        for name in ("haphazard", "random_fair"):
+            with pytest.raises(ValueError, match="unknown scheduler"):
+                builtin_scheduler(name)
 
     def test_synchronous_preserves_symmetry(self):
         # after every full wave the configuration is symmetric or gathered
@@ -221,30 +242,72 @@ class TestAnonymity:
             occ[p] = 1
         occ[5] = 2
         cfg = RingConfig(15, tuple(occ))
-        base = SimState.initial(cfg)
+        s1, s2 = _Sim(cfg), _Sim(cfg)
         # swap the two tower robots' ids
-        ids = list(range(base.k))
-        i, j = [r for r, p in enumerate(base.positions) if p == 5]
-        ids[i], ids[j] = ids[j], ids[i]
-        swapped = SimState(
-            n=base.n,
-            occ=base.occ,
-            positions=tuple(base.positions[ids[r]] for r in range(base.k)),
-            pending=base.pending,
-            step=base.step,
-            round=base.round,
-            moved_this_round=base.moved_this_round,
-            move_count=base.move_count,
-            last_cycle_step=base.last_cycle_step,
-        )
-        s1, s2 = _Sim(base), _Sim(swapped)
-        for r in range(base.k):
+        i, j = [r for r, p in enumerate(s1.positions) if p == 5]
+        s2.positions[i], s2.positions[j] = s2.positions[j], s2.positions[i]
+        for r in range(s1.k):
             s1.apply(SchedulerAction("activate", r))
             s2.apply(SchedulerAction("activate", r))
-        for r in range(base.k):
+        for r in range(s1.k):
             s1.apply(SchedulerAction("fire", r))
             s2.apply(SchedulerAction("fire", r))
             assert s1.occ == s2.occ
+
+
+DIGEST_SCHEDULES = [("synchronous", None), ("random", 3), ("lazy", 0)]
+# start -> sha256 of `run(...).to_jsonl()` under each of DIGEST_SCHEDULES
+TRACE_DIGESTS = {
+    ".1.1.11.1111.11": (
+        "57449aee41f92128782ba25bc18b68e5f6f986bc917306a734192c1e7e030340",
+        "117e941338b7245084c1c0ced71c018109d1c72ac33de095ca7bfd416531a65b",
+        "0f2c9ccd290278155ccd6381117fe4d235204eb03267d6379df90a43c5c4a919",
+    ),
+    # a robot of this start may step either way: the schedulers pick
+    "..111.1.111.111": (
+        "20379bae7fb12cd40f265cf6c5f5c5a038d0ac24f261d545bdd0b7cfa836a02c",
+        "227d5986dc208a65b1b7902129955fecc75e4ea00cc1905b81d173c59254569b",
+        "dc1ef93dd67cae42d2b41f2e67d5601c4a0b2cfbc0ebdfe76013354a9eb91745",
+    ),
+    "..11.11..11.11.11": (
+        "35ce3059f2689243540ae542ef40c2182ba742f78491f8eb0ef40efd7bf89d4e",
+        "9a2e9934f67146f372e8789847103b9bc2a56109569bff0e41c3baa6fe3e4f5b",
+        "cc048125d4972a1711fff8c0686b3da5235d69dc32abb05224d9b24c760a5d09",
+    ),
+    "11111..1...11.1..1.": (
+        "f7d08066d32a9db4e3478db0f320d10f07ad549924a53a0bb4c573c84ac17a26",
+        "48a963a37b451f721b3acc55dfa9b20a88d08c7180aeb7a0888efae562cb73f2",
+        "2f976a22aea6e5c64db05a1b39cb85724bc7996dc330dd2eb49e0cbdadee412f",
+    ),
+    "1..1..11.1..11111..11": (
+        "aad22e7902237448ab4d3e56a8dd8fa15f4da72084516ffe26ac6bd52bbf148d",
+        "0e34b0ec6f7cfd26d81f60b168b38b24340a211de1ba943b2760d6f0a0b81acc",
+        "a697cec5e06a5e96b9a501e54649426c86dd29b49f0ddbebc5106f44b6e431f1",
+    ),
+    "111...111..1.1111....1.": (
+        "08e1416d04674265a71464d91000dfed81a73b744e37b1d0736579f6c0889086",
+        "d783b0e6fd91cf45312a3be441c72021d16f7a706cf5a6872bee4bdadc2a228d",
+        "a2d469e25e1d57b320512f6ec4319e4526670ee594ea3515e142943248fcae98",
+    ),
+    ".111...11.1.1...11.1.1111..": (
+        "ecda2e05efb545c3bbeed83d8a5f39c4da0e67673dc0eecb1a8b7298425802a7",
+        "4ad3e29f898a2b375488e0249e492357ff86e14b6e66aff85589bd45bd856edf",
+        "a1fa00cec1cd47a4ca8ef9eb2f85043f5f96ac6036f814eb88e33c585000ce1c",
+    ),
+}
+
+
+def test_traces_are_byte_identical():
+    """Traces are byte-reproducible: each run's JSONL hashes to the digest
+    recorded for it.  A change that alters traces on purpose must update
+    these digests and say why in CHANGES.md."""
+    changed = []
+    for occ, digests in TRACE_DIGESTS.items():
+        for (name, seed), digest in zip(DIGEST_SCHEDULES, digests):
+            trace = run(RingConfig.from_string(occ), builtin_scheduler(name, seed))
+            if hashlib.sha256(trace.to_jsonl().encode()).hexdigest() != digest:
+                changed.append((occ, name, seed))
+    assert changed == []
 
 
 class TestTraceSerialization:
