@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .ring import (
     RingConfig,
+    _canonical,
     canonical_form,
     classify_symmetry,
     compute_view,
@@ -89,14 +90,16 @@ def enumerate_initial_configs(n: int, k: int, relaxed: bool = False):
     seen = set()
     # every class has a representative with a robot on node 0
     for rest in itertools.combinations(range(1, n), k - 1):
-        cfg = RingConfig.from_positions(n, (0,) + rest)
-        canon = canonical_form(cfg)
+        occ = [0] * n
+        for v in (0,) + rest:
+            occ[v] = 1
+        canon = _canonical(tuple(occ))
         if canon in seen:
             continue
         seen.add(canon)
-        if classify_symmetry(cfg).periodic:
-            continue
-        yield RingConfig.from_string(canon)
+        cfg = RingConfig.from_string(canon)
+        if not classify_symmetry(cfg).periodic:
+            yield cfg
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 
 from .ring import (
     Hole,
@@ -44,7 +45,6 @@ from .ring import (
     decompose_blocks,
     occupied_runs,
     ring_distance,
-    view_direction,
 )
 
 
@@ -215,9 +215,8 @@ _CLEAR_HOOKS: list = []
 
 def clear_caches() -> None:
     """Empty the rule engine's memos and every memo derived from them."""
-    _config.cache_clear()
     _analyze.cache_clear()
-    _decide.cache_clear()
+    _decisions.cache_clear()
     _class_moves.cache_clear()
     for clear in _CLEAR_HOOKS:
         clear()
@@ -231,16 +230,8 @@ class Analysis:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _config(occ: tuple[int, ...]) -> RingConfig:
-    """One RingConfig per occupancy for the memos below, so that the
-    decisions of every robot of a configuration share its cached
-    `occupied` tuple instead of each building a new configuration."""
-    return RingConfig(len(occ), occ)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def _analyze(occ: tuple[int, ...]) -> Analysis:
-    return _classify(_config(occ))
+    return _classify(RingConfig(len(occ), occ))
 
 
 # ---------------------------------------------------------------------------
@@ -983,35 +974,6 @@ def reconstruct_from_view(view: View) -> RingConfig:
     return RingConfig(n, tuple(occ))
 
 
-def _view_class(dists: tuple[int, ...]) -> tuple[tuple[int, ...], int, bool]:
-    """Place a gap cycle in its class under rotation and reversal.
-
-    The key is the lexicographically largest of the 2w readings of
-    ``dists`` (every rotation, forwards and reversed).  Also returns the
-    node the observer occupies in the representative
-    ``reconstruct_from_view(View(key, False))``, and whether the matching
-    reading was reversed, so that the representative's forward direction is
-    the observer's backward one.
-
-    Ties keep the first reading found, a forward one whenever the pattern is
-    mirror-symmetric, so such a pattern maps to its representative by a
-    rotation: the rules break some mirror ties by clockwise order (a lone
-    robot at distance 2 from both ends of a block steps clockwise), which a
-    reflection would turn around."""
-    n = sum(dists)
-    w = len(dists)
-    best = None
-    for reverse, seq in ((False, dists), (True, dists[::-1])):
-        doubled = seq + seq
-        pos = 0
-        for j in range(w):
-            cand = doubled[j : j + w]
-            if best is None or cand > best:
-                best, at, flipped = cand, pos, reverse
-            pos += seq[j]
-    return best, -at % n, flipped
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _class_moves(key: tuple[int, ...]):
     """The moves of a class representative (node -> targets), or None when
@@ -1032,58 +994,107 @@ def _class_moves(key: tuple[int, ...]):
 def local_decide(view: View) -> Decision:
     """A robot's compute phase: reproduce the global rule from its view.
 
-    Tower robots and robots in gathered patterns stay.  Otherwise the
-    movement rules are applied to the visible pattern the view reconstructs;
-    the result is reported relative to the view's reading direction.  On an
-    odd ring the rules move the same robots on every placement of a pattern
-    (mirror ties aside, see `_view_class`), so they run once per class of
-    view, on its representative, and the observer's move is mapped back
-    through the rotation or reflection between the two.  Even rings lie outside the protocol, and there the
-    rules can tell two mirror-image robots apart by node index (Biblock
-    with two robots at distance 2), so each view is its own class there.
+    The view's pattern is rebuilt with the robot on node 0 and its reading
+    direction along +1, and the robot's entry of that pattern's decision
+    table (see `_decisions`) is read back relative to that direction.
     """
     if view.tower_here:
         return Decision.stay()
-    if len(view.dists) == 1:
+    target = _decide(reconstruct_from_view(view).occ, 0)
+    if target is None:
         return Decision.stay()
-    n = sum(view.dists)
-    if n % 2:
-        key, node, flipped = _view_class(view.dists)
-    else:
-        key, node, flipped = view.dists, 0, False
-    moves = _class_moves(key)
-    if moves is None:
-        raise NoRuleError("no rule")
-    mine = moves.get(node)
-    if not mine:
-        return Decision.stay()
-    steps = {(t - node) % n for t in mine}
-    if steps == {1, n - 1}:
+    if isinstance(target, tuple):
         return Decision.either()
-    if steps == {1}:
-        return Decision.move(forward=not flipped)
-    if steps == {n - 1}:
-        return Decision.move(forward=flipped)
-    raise AssertionError(f"non-adjacent move target {mine}")
+    return Decision.move(forward=target == 1)
 
 
 def decide_targets(cfg: RingConfig, node: int):
     """Concrete destination nodes for the robot on ``node``, derived through
     its view exactly as the robot itself would: None to stay, a node, or a
     pair of nodes when the scheduler picks the direction."""
-    return _decide(cfg.occ, node)
+    return _decide(cfg.occ, node % cfg.n)
+
+
+# entries of a decision table besides a robot's targets
+_EMPTY = "empty"  # no robot on the node
+_NO_RULE = "no rule"  # no rule covers the robot's pattern
+
+
+def _decide(occ: tuple[int, ...], node: int):
+    """`decide_targets` on an occupancy tuple: one lookup in its table."""
+    target = _decisions(occ)[node]
+    if target is _NO_RULE:
+        raise NoRuleError("no rule")
+    if target is _EMPTY:
+        raise ValueError(f"no robot at node {node}")
+    return target
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _decide(occ: tuple[int, ...], node: int):
-    cfg = _config(occ)
-    view = compute_view(cfg, node)
-    decision = local_decide(view)
-    n = cfg.n
-    if decision.kind is LocalDecision.STAY:
-        return None
-    if decision.kind is LocalDecision.MOVE_EITHER:
-        return ((node - 1) % n, (node + 1) % n)
-    direction = view_direction(cfg, node)
-    step = direction if decision.forward else -direction
-    return (node + step) % n
+def _decisions(occ: tuple[int, ...]) -> tuple:
+    """Every robot's decision on ``occ``, by node: None to stay, a target
+    node, an either-way pair ``(node - 1, node + 1)``, `_NO_RULE`, or
+    `_EMPTY` on an empty node.
+
+    A robot decides from its view alone: the gap cycle read from its node
+    in the direction that reads lexicographically larger (clockwise on a
+    tie). Tower robots and a gathered pattern stay.  On an odd ring the
+    rules move the same robots on every placement of a pattern (mirror ties
+    aside, below), so they run once per class of gap cycle under rotation
+    and reversal, on its representative: the pattern rebuilt from the key,
+    the largest of the 2w readings (w occupied nodes), with a robot on node
+    0.  Each robot's move is mapped back through the rotation or reflection
+    that takes the first reading equal to the key, in the robot's own
+    order (its view's rotations, then its reversal's), onto the key.  That
+    order makes a mirror-symmetric pattern map by a rotation: the rules
+    break some mirror ties by clockwise order (a lone robot at distance 2
+    from both ends of a block steps clockwise), which a reflection would
+    turn around.  Even rings lie outside the protocol, and there the rules
+    can tell two mirror-image robots apart by node index (Biblock with two
+    robots at distance 2), so each robot's own reading is its key there.
+    """
+    n = len(occ)
+    nodes = tuple(compress(range(n), occ))
+    w = len(nodes)
+    table = [_EMPTY] * n
+    if w == 1:
+        table[nodes[0]] = None
+        return tuple(table)
+    gaps = tuple((nodes[(i + 1) % w] - nodes[i]) % n for i in range(w))
+    back = gaps[::-1]
+    # the readings from robot s: clockwise, and counter-clockwise
+    cw = [gaps[s:] + gaps[:s] for s in range(w)]
+    ccw = [back[w - s :] + back[: w - s] for s in range(w)]
+    if n % 2:
+        key = max(max(cw), max(ccw))
+        moves = _class_moves(key)
+        starts = {1: [s for s in range(w) if cw[s] == key],
+                  -1: [s for s in range(w) if ccw[s] == key]}
+    for i, node in enumerate(nodes):
+        if occ[node] >= 2:
+            table[node] = None
+            continue
+        view_dir = 1 if cw[i] >= ccw[i] else -1
+        if n % 2:
+            # the representative's node 0 is robot s, read in direction e
+            e = view_dir if starts[view_dir] else -view_dir
+            s = min(starts[e], key=lambda s: (s - i) * e % w)
+            here = (node - nodes[s]) * e % n
+        else:
+            e, here = view_dir, 0
+            moves = _class_moves(cw[i] if view_dir == 1 else ccw[i])
+        if moves is None:
+            table[node] = _NO_RULE
+            continue
+        steps = {(t - here) % n for t in moves.get(here, ())}
+        if not steps:
+            table[node] = None
+        elif steps == {1, n - 1}:
+            table[node] = ((node - 1) % n, (node + 1) % n)
+        elif steps == {1}:
+            table[node] = (node + e) % n
+        elif steps == {n - 1}:
+            table[node] = (node - e) % n
+        else:
+            raise AssertionError(f"non-adjacent move target {moves[here]}")
+    return tuple(table)

@@ -20,8 +20,9 @@ All functions are pure; `RingConfig` and the derived records are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 # Occupancy-string alphabet, indexed by robot count.  The protocol grid uses
 # k = 10, whose gathered state needs a count above 9, so counts 10..35 render
@@ -48,20 +49,28 @@ def parse_occupancy(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RingConfig:
-    """Occupancy of an n-node ring: ``occ[i]`` robots on node i."""
+    """Occupancy of an n-node ring: ``occ[i]`` robots on node i.
+
+    ``k`` (the robot count) and ``occupied`` (the occupied node indices,
+    ascending) are computed once on construction; equality and hashing
+    read only ``n`` and ``occ``."""
 
     n: int
     occ: tuple[int, ...]
+    k: int = field(init=False, compare=False, repr=False)
+    occupied: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ring needs at least one node")
         if len(self.occ) != self.n:
             raise ValueError("occupancy length differs from node count")
-        if any(c < 0 for c in self.occ):
+        if min(self.occ) < 0:
             raise ValueError("negative robot count")
         if not isinstance(self.occ, tuple):
             object.__setattr__(self, "occ", tuple(self.occ))
+        object.__setattr__(self, "k", sum(self.occ))
+        object.__setattr__(self, "occupied", tuple(compress(range(self.n), self.occ)))
 
     @classmethod
     def from_positions(cls, n: int, positions) -> "RingConfig":
@@ -75,19 +84,9 @@ class RingConfig:
         occ = parse_occupancy(text)
         return cls(len(occ), occ)
 
-    @cached_property
-    def k(self) -> int:
-        """Total robot count."""
-        return sum(self.occ)
-
-    @cached_property
-    def occupied(self) -> tuple[int, ...]:
-        """Occupied node indices, ascending."""
-        return tuple(i for i, c in enumerate(self.occ) if c)
-
     @property
     def towerless(self) -> bool:
-        return all(c <= 1 for c in self.occ)
+        return self.k == len(self.occupied)
 
     @cached_property
     def towers(self) -> tuple[int, ...]:
@@ -254,28 +253,16 @@ def compute_view(cfg: RingConfig, node: int) -> View:
     node %= cfg.n
     if cfg.occ[node] == 0:
         raise ValueError(f"no robot at node {node}")
-    cw = _cw_reading(cfg, node)
-    return View(max(cw, cw[::-1]), cfg.occ[node] >= 2)
-
-
-def _cw_reading(cfg: RingConfig, node: int) -> tuple[int, ...]:
     occ_nodes = cfg.occupied
     n = cfg.n
     if len(occ_nodes) == 1:
-        return (n,)
+        return View((n,), cfg.occ[node] >= 2)
     i = occ_nodes.index(node)
     ordered = occ_nodes[i:] + occ_nodes[:i]
-    return tuple(
+    cw = tuple(
         (ordered[(j + 1) % len(ordered)] - ordered[j]) % n for j in range(len(ordered))
     )
-
-
-def view_direction(cfg: RingConfig, node: int) -> int:
-    """Which ring direction the view's reading follows: +1 when the
-    clockwise reading is the lexicographic maximum, -1 otherwise.  Ties
-    (palindromic views) report +1; both directions are then equivalent."""
-    cw = _cw_reading(cfg, node % cfg.n)
-    return 1 if cw >= cw[::-1] else -1
+    return View(max(cw, cw[::-1]), cfg.occ[node] >= 2)
 
 
 def rotations_fixing(occ: tuple[int, ...]) -> list[int]:
@@ -392,8 +379,12 @@ def canonical_form(cfg: RingConfig) -> str:
     """Lexicographically minimal occupancy string over all 2n rotations and
     reflections.  Equal canonical forms identify configurations that agree
     up to a ring automorphism."""
-    occ = cfg.occ
-    n = cfg.n
+    return _canonical(cfg.occ)
+
+
+def _canonical(occ: tuple[int, ...]) -> str:
+    """`canonical_form` of an occupancy tuple."""
+    n = len(occ)
     rev = occ[::-1]
     best = None
     for seq in (occ, rev):

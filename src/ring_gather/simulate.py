@@ -29,7 +29,7 @@ from functools import lru_cache
 from random import Random
 from typing import NamedTuple
 
-from .ring import RingConfig, canonical_form, classify_symmetry
+from .ring import RingConfig, _canonical, classify_symmetry
 from .protocol import (
     PHASE3_TAGS,
     NoRuleError,
@@ -38,7 +38,6 @@ from .protocol import (
     _analyze,
     _decide,
     classify_protocol_state,
-    decide_targets,
 )
 
 DEFAULT_MAX_STEPS = 400_000
@@ -98,7 +97,7 @@ def _normalize_target(t):
 
 
 class _Sim:
-    """The simulator's state: the configuration, per-robot positions and
+    """The simulator's state: the occupancy tuple, per-robot positions and
     pending intents, plus step/round accounting.  `run` drives it through
     `apply`; schedulers read it."""
 
@@ -106,18 +105,20 @@ class _Sim:
         "n",
         "k",
         "occ",
+        "width",
         "positions",
         "pending",
         "step",
         "round",
         "moved_this_round",
         "last_cycle_step",
-        "_cfg",
+        "by_last_cycle",
     )
 
     def __init__(self, cfg: RingConfig):
         self.n = cfg.n
-        self.occ = list(cfg.occ)
+        self.occ = cfg.occ
+        self.width = len(cfg.occupied)  # occupied nodes
         self.positions = [node for node, count in enumerate(cfg.occ) for _ in range(count)]
         self.k = len(self.positions)
         self.pending = [None] * self.k
@@ -125,61 +126,63 @@ class _Sim:
         self.round = 0
         self.moved_this_round = set()
         self.last_cycle_step = [0] * self.k
-        self._cfg = cfg
-
-    def config(self) -> RingConfig:
-        if self._cfg is None:
-            self._cfg = RingConfig(self.n, tuple(self.occ))
-        return self._cfg
+        # robots by last completed move phase, oldest first (ties by id)
+        self.by_last_cycle = dict.fromkeys(range(self.k))
 
     def apply(self, action: SchedulerAction):
         """Execute one scheduler action; returns (from_node, to_node) with
-        to_node None for activations and cleared Stay intents."""
+        to_node None for activations and cleared Stay intents.  An action
+        that is rejected (`ValueError`, or `NoRuleError` from the decision)
+        leaves the state as it was."""
         kind, robot, direction = action
         if not 0 <= robot < self.k:
             raise ValueError("scheduler contract violation: no such robot")
         node = self.positions[robot]
-        self.step += 1
+        intent = self.pending[robot]
         if kind == "activate":
-            if self.pending[robot] is not None:
+            if intent is not None:
                 raise ValueError("scheduler contract violation: intent pending")
-            target = decide_targets(self.config(), node)
-            self.pending[robot] = PendingIntent(
-                robot=robot,
-                snapshot_step=self.step,
-                snapshot_occ=tuple(self.occ),
-                target=target,
-            )
+            target = _decide(self.occ, node)
+            self.step += 1
+            self.pending[robot] = PendingIntent(robot, self.step, self.occ, target)
             return node, None
         if kind != "fire":
             raise ValueError(f"scheduler contract violation: bad kind {kind!r}")
-        intent = self.pending[robot]
         if intent is None:
             raise ValueError("scheduler contract violation: nothing to fire")
-        self.pending[robot] = None
         target = intent.target
         if isinstance(target, tuple):
             if direction is None or direction not in target:
                 raise ValueError("scheduler contract violation: direction needed")
             target = direction
+        self.step += 1
+        self.pending[robot] = None
         self._complete_move_phase(robot)
         if target is None:
             return node, None
-        self.occ[node] -= 1
-        self.occ[target] += 1
+        occ = list(self.occ)
+        occ[node] -= 1
+        occ[target] += 1
+        self.width += (occ[target] == 1) - (occ[node] == 0)
+        self.occ = tuple(occ)
         self.positions[robot] = target
-        self._cfg = None
         return node, target
 
     def _complete_move_phase(self, robot: int):
         self.last_cycle_step[robot] = self.step
+        del self.by_last_cycle[robot]
+        self.by_last_cycle[robot] = None
         self.moved_this_round.add(robot)
         if len(self.moved_this_round) == self.k:
             self.round += 1
             self.moved_this_round.clear()
 
+    def starved(self) -> int:
+        """The robot whose last completed move phase is oldest."""
+        return next(iter(self.by_last_cycle))
+
     def gathered(self) -> bool:
-        return len(set(self.positions)) == 1
+        return self.width == 1
 
 
 class TraceEvent(NamedTuple):
@@ -220,21 +223,14 @@ class Trace:
                 }
             )
         ]
-        for ev in self.events:
-            lines.append(
-                json.dumps(
-                    {
-                        "step": ev.step,
-                        "kind": ev.kind,
-                        "robot": ev.robot,
-                        "from": ev.from_node,
-                        "to": ev.to_node,
-                        "occ": ev.occ,
-                        "tag": ev.tag,
-                        "round": ev.round,
-                    }
-                )
-            )
+        # what json.dumps would write: `kind`, `occ` and `tag` come from
+        # fixed ASCII alphabets that need no escaping
+        lines += [
+            f'{{"step": {step}, "kind": "{kind}", "robot": {robot}, "from": {src}, '
+            f'"to": {"null" if dst is None else dst}, "occ": "{occ}", "tag": "{tag}", '
+            f'"round": {rnd}}}'
+            for step, kind, robot, src, dst, occ, tag, rnd in self.events
+        ]
         lines.append(json.dumps({"outcome": self.outcome, "rounds": self.rounds}))
         return "\n".join(lines) + "\n"
 
@@ -277,7 +273,7 @@ def clear_caches() -> None:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _canon_of(occ: tuple[int, ...]) -> str:
-    return canonical_form(RingConfig(len(occ), occ))
+    return _canonical(occ)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +307,8 @@ def _pending_robots(sim: _Sim):
 
 
 def _enabled_idle(sim: _Sim):
-    cfg = sim.config()
-    out = []
-    for r in _idle_robots(sim):
-        if decide_targets(cfg, sim.positions[r]) is not None:
-            out.append(r)
-    return out
+    occ, positions = sim.occ, sim.positions
+    return [r for r in _idle_robots(sim) if _decide(occ, positions[r]) is not None]
 
 
 class SynchronousScheduler(Scheduler):
@@ -501,6 +493,8 @@ def run(
     # a robot must be able to finish its cycle (2 actions) plus let already
     # starved peers flush theirs before the bound trips
     slack = 2 * sim.k
+    events = trace.events
+    canon, tag = _canon_of(sim.occ), _analyze(sim.occ).tag.value
     while True:
         if sim.gathered():
             trace.outcome = "Gathered"
@@ -509,7 +503,7 @@ def run(
             trace.outcome = "StepLimit"
             break
         action = None
-        starved = min(range(sim.k), key=lambda r: sim.last_cycle_step[r])
+        starved = sim.starved()
         if sim.step - sim.last_cycle_step[starved] >= bound - slack:
             if sim.pending[starved] is None:
                 action = SchedulerAction("activate", starved)
@@ -531,17 +525,11 @@ def run(
             # checker treats any Stuck outcome as a failure
             trace.outcome = "Stuck"
             break
-        occ = tuple(sim.occ)
-        trace.events.append(
+        if to_node is not None:
+            canon, tag = _canon_of(sim.occ), _analyze(sim.occ).tag.value
+        events.append(
             TraceEvent(
-                step=sim.step,
-                kind=action.kind,
-                robot=action.robot,
-                from_node=from_node,
-                to_node=to_node,
-                occ=_canon_of(occ),
-                tag=_analyze(occ).tag.value,
-                round=sim.round,
+                sim.step, action.kind, action.robot, from_node, to_node, canon, tag, sim.round
             )
         )
     trace.rounds = sim.round

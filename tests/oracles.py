@@ -4,17 +4,25 @@ Everything here is written directly from first principles (explicit
 permutation images, full scans); none of it calls into ring_gather's
 geometry so that agreement between the two is meaningful.
 
-The one exception is the last section: the trace checks as five separate
-walkers with their own replay, the reference for `checker.check_trace`.
-They call the rule engine for decisions and phases, but none of the
-single-pass code.
+Two sections are exceptions. The per-robot decision path, the reference
+for `protocol._decisions`, runs the rule engine's class moves from each
+robot's own view. The trace checks as five separate walkers with their own
+replay, the reference for `checker.check_trace`, call the rule engine for
+decisions and phases, but none of the single-pass code.
 """
 
 from itertools import combinations
 
 from ring_gather import RingConfig, classify_symmetry
 from ring_gather.checker import Verdict
-from ring_gather.protocol import NoRuleError, Phase, Tag, decide_targets, phase_of
+from ring_gather.protocol import (
+    NoRuleError,
+    Phase,
+    Tag,
+    _class_moves,
+    decide_targets,
+    phase_of,
+)
 from ring_gather.ring import parse_occupancy
 from ring_gather.simulate import Trace, _canon_of, intent_is_incorrect
 
@@ -141,6 +149,74 @@ def orbit_classes(n, k, include_periodic=False):
             continue
         classes.append(occ)
     return classes
+
+
+# ---------------------------------------------------------------------------
+# decisions, one robot at a time
+# ---------------------------------------------------------------------------
+
+
+def _view_class(dists):
+    """Place a gap cycle in its class under rotation and reversal: the key
+    is the largest of the 2w readings, the first one found on a tie.  Also
+    returns the node the observer occupies in the representative
+    (the pattern rebuilt from the key, a robot on node 0) and whether the
+    matching reading was reversed."""
+    n = sum(dists)
+    w = len(dists)
+    best = None
+    for reverse, seq in ((False, dists), (True, dists[::-1])):
+        doubled = seq + seq
+        pos = 0
+        for j in range(w):
+            cand = doubled[j : j + w]
+            if best is None or cand > best:
+                best, at, flipped = cand, pos, reverse
+            pos += seq[j]
+    return best, -at % n, flipped
+
+
+def per_robot_decision(occ, node):
+    """The decision of the robot on ``node``, computed from its own view
+    alone: its gap readings walked both ways, the class of its view, the
+    class representative's moves, and the move mapped back to the ring.
+    Returns or raises what `protocol._decide` does."""
+    n = len(occ)
+    if not occ[node]:
+        raise ValueError(f"no robot at node {node}")
+    if occ[node] >= 2 or sum(1 for c in occ if c) == 1:
+        return None
+    cw, ccw = _reading(occ, node, 1), _reading(occ, node, -1)
+    dists = max(cw, ccw)
+    direction = 1 if cw >= ccw else -1  # the view's reading direction
+    if n % 2:
+        key, rep, flipped = _view_class(dists)
+    else:
+        key, rep, flipped = dists, 0, False
+    moves = _class_moves(key)
+    if moves is None:
+        raise NoRuleError("no rule")
+    mine = moves.get(rep)
+    if not mine:
+        return None
+    steps = {(t - rep) % n for t in mine}
+    if steps == {1, n - 1}:
+        return ((node - 1) % n, (node + 1) % n)
+    assert steps in ({1}, {n - 1}), mine
+    forward = (steps == {1}) != flipped
+    return (node + (direction if forward else -direction)) % n
+
+
+def _reading(occ, node, step):
+    """The gaps met walking from ``node`` in direction ``step`` once round."""
+    n = len(occ)
+    out, gap = [], 0
+    for i in range(1, n + 1):
+        gap += 1
+        if occ[(node + step * i) % n]:
+            out.append(gap)
+            gap = 0
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,11 @@ from ring_gather.protocol import (
     reconstruct_from_view,
 )
 from ring_gather.checker import build_phase2_instances, enumerate_initial_configs
+from ring_gather.ring import parse_occupancy
 from ring_gather.simulate import builtin_scheduler, run
 
-from oracles import brute_view
+from oracles import brute_view, per_robot_decision
+from test_simulate import DIGEST_SCHEDULES, TRACE_DIGESTS
 
 
 def cfg_at(n, positions):
@@ -330,6 +332,14 @@ def _engine_decision(view):
     return Decision.move(forward=mine == {1})
 
 
+def _outcome(decide, occ, node):
+    """A decision, or the type of the error it raised."""
+    try:
+        return decide(occ, node)
+    except (NoRuleError, ValueError) as exc:
+        return type(exc)
+
+
 def _local_decision(view):
     try:
         return local_decide(view)
@@ -359,8 +369,8 @@ def protocol_views():
 
 
 class TestDecisionTable:
-    """`local_decide` runs the rules once per class of view and maps the
-    result back to the asking robot."""
+    """The decision table runs the rules once per class of gap cycle and
+    maps the result back to each robot; `local_decide` reads it."""
 
     def test_matches_rule_engine_on_own_reconstruction(self, protocol_views):
         clear_caches()
@@ -389,6 +399,32 @@ class TestDecisionTable:
             clear_caches()
             assert _local_decision(view) == _engine_decision(view), view
 
+    def test_table_matches_per_robot_path(self):
+        # every robot of every towerless occupancy for n = 2..11, of each
+        # with a height-2 tower on its first occupied node, and of every
+        # configuration that the pinned digest runs reach
+        occs = []
+        for n in range(2, 12):
+            for bits in itertools.product((0, 1), repeat=n):
+                if any(bits):
+                    tower = list(bits)
+                    tower[bits.index(1)] = 2
+                    occs += [bits, tuple(tower)]
+        reached = set()
+        for start in TRACE_DIGESTS:
+            for name, seed in DIGEST_SCHEDULES:
+                trace = run(RingConfig.from_string(start), builtin_scheduler(name, seed))
+                reached.update(ev.occ for ev in trace.events)
+        occs += [parse_occupancy(occ) for occ in sorted(reached)]
+        clear_caches()
+        for occ in occs:
+            for node, count in enumerate(occ):
+                if count:
+                    want = _outcome(per_robot_decision, occ, node)
+                    assert _outcome(protocol._decide, occ, node) == want, (occ, node)
+        with pytest.raises(ValueError, match="no robot at node 1"):
+            protocol._decide((1, 0, 1), 1)
+
     def test_table_is_bounded_and_cleared(self):
         # every memo in the package, found by its lru_cache wrapper
         caches = {}
@@ -398,9 +434,8 @@ class TestDecisionTable:
                 if hasattr(obj, "cache_info"):
                     caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
         assert {
-            "ring_gather.protocol._config",
             "ring_gather.protocol._analyze",
-            "ring_gather.protocol._decide",
+            "ring_gather.protocol._decisions",
             "ring_gather.protocol._class_moves",
             "ring_gather.simulate._canon_of",
         } <= set(caches)

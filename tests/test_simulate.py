@@ -27,6 +27,19 @@ BLOCK_15 = cfg_at(15, range(10))
 EITHER_WAY_15 = RingConfig.from_string("..111.1.111.111")  # robot 3 may go either way
 
 
+def _state(sim):
+    """Everything a rejected action must leave as it was."""
+    return (
+        sim.step,
+        list(sim.pending),
+        tuple(sim.occ),
+        list(sim.positions),
+        sim.round,
+        set(sim.moved_this_round),
+        list(sim.last_cycle_step),
+    )
+
+
 class TestStep:
     def test_activate_records_intent(self):
         sim = _Sim(BLOCK_15)
@@ -81,7 +94,7 @@ class TestStep:
         intent = sim.pending[2]
         occ = tuple(sim.occ)
         assert intent.target is None and sim.positions[2] == 7
-        assert decide_targets(sim.config(), 7) == 6
+        assert decide_targets(RingConfig(sim.n, sim.occ), 7) == 6
         assert intent.snapshot_occ != occ  # outdated
         assert not intent_is_incorrect(occ, 7, intent.target)
 
@@ -109,8 +122,10 @@ class TestStep:
         sim = _Sim(EITHER_WAY_15)
         for act in setup:
             sim.apply(SchedulerAction(*act))
+        before = _state(sim)
         with pytest.raises(ValueError, match=f"scheduler contract violation: {reason}"):
             sim.apply(SchedulerAction(*action))
+        assert _state(sim) == before
 
     def test_round_counts_when_every_robot_cycled(self):
         sim = _Sim(BLOCK_15)
@@ -236,23 +251,28 @@ class TestSchedulers:
 
 
 class TestAnonymity:
-    def test_colocated_id_swap_gives_same_configs(self):
-        occ = [0] * 15
-        for p in list(range(4)) + list(range(7, 11)):
-            occ[p] = 1
-        occ[5] = 2
-        cfg = RingConfig(15, tuple(occ))
-        s1, s2 = _Sim(cfg), _Sim(cfg)
-        # swap the two tower robots' ids
-        i, j = [r for r, p in enumerate(s1.positions) if p == 5]
-        s2.positions[i], s2.positions[j] = s2.positions[j], s2.positions[i]
-        for r in range(s1.k):
-            s1.apply(SchedulerAction("activate", r))
-            s2.apply(SchedulerAction("activate", r))
-        for r in range(s1.k):
-            s1.apply(SchedulerAction("fire", r))
-            s2.apply(SchedulerAction("fire", r))
+    def test_ids_permuted_across_nodes_give_same_configs(self):
+        # the same start with every robot's id moved to another node: run in
+        # synchronous waves (all activate, then all fire, in id order), both
+        # must pass through the same configurations
+        s1, s2 = _Sim(EITHER_WAY_15), _Sim(EITHER_WAY_15)
+        s2.positions = s2.positions[3:] + s2.positions[:3]
+        assert all(a != b for a, b in zip(s1.positions, s2.positions))
+        sched = builtin_scheduler("synchronous")
+        waves = 0
+        while not s1.gathered():
+            for sim in (s1, s2):
+                for r in range(sim.k):
+                    sim.apply(SchedulerAction("activate", r))
+                for r in range(sim.k):
+                    intent = sim.pending[r]
+                    direction = None
+                    if isinstance(intent.target, tuple):
+                        direction = sched.choose_direction(sim, intent)
+                    sim.apply(SchedulerAction("fire", r, direction))
             assert s1.occ == s2.occ
+            waves += 1
+        assert s2.gathered() and waves > 1
 
 
 DIGEST_SCHEDULES = [("synchronous", None), ("random", 3), ("lazy", 0)]
@@ -293,6 +313,12 @@ TRACE_DIGESTS = {
         "ecda2e05efb545c3bbeed83d8a5f39c4da0e67673dc0eecb1a8b7298425802a7",
         "4ad3e29f898a2b375488e0249e492357ff86e14b6e66aff85589bd45bd856edf",
         "a1fa00cec1cd47a4ca8ef9eb2f85043f5f96ac6036f814eb88e33c585000ce1c",
+    ),
+    # a large ring, as the benchmark's large_runs simulate
+    "11.11.1.11.1.1.1...11..11..1...1.1111....": (
+        "fd3fd879927e0c562fae79f7b1e2edff85092b5f58e2d0fee341cb5c5c6214a6",
+        "87e460dd64b12980054ebd2022db9dfebeb6e19c70d7feaa581a30df68c76485",
+        "70e88650cb94ff01cb20e15a492c12d89a233df882465381182a832e127b40ae",
     ),
 }
 
