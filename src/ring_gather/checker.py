@@ -5,9 +5,9 @@ returns a `Verdict`: pass, or the first violating step with a description
 and the offending occupancy string.  The checks only ever look at traces
 and replays of traces, never at simulator internals.
 
-Asymptotic statements get concrete desk-scale constants, all overridable:
-20·n² rounds for the whole gathering, small fixed action budgets for the
-O(1) phase-2 lemmas, 3·k actions for the per-round-progress ones.
+Asymptotic statements get concrete desk-scale constants: 20·n² rounds for
+the whole gathering (the overridable `c`), small fixed action budgets for
+the O(1) phase-2 lemmas, 3·k actions for the per-round-progress ones.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .ring import (
     RingConfig,
     _canonical,
-    canonical_form,
     classify_symmetry,
     compute_view,
     parse_occupancy,
@@ -29,19 +28,19 @@ from .ring import (
 from .protocol import (
     _CACHE_SIZE,
     _CLEAR_HOOKS,
+    _EMPTY,
     NoRuleError,
     Phase,
     Tag,
     _analyze,
     _decide,
+    _decisions,
     classify_protocol_state,
-    decide_targets,
     enabled_moves,
     phase_of,
 )
 from .simulate import (
     Trace,
-    TraceEvent,
     builtin_scheduler,
     intent_is_incorrect,
     run,
@@ -83,8 +82,7 @@ def enumerate_initial_configs(n: int, k: int, relaxed: bool = False):
     """Yield one representative per ring-automorphism class of the
     towerless, non-periodic k-robot configurations on an n-ring, as
     canonical `RingConfig`s, in a deterministic order."""
-    if not relaxed:
-        validate_params(n, k)
+    validate_params(n, k, relaxed)
     if k < 1 or k > n:
         raise ValueError("constraint violated: k must be between 1 and n")
     seen = set()
@@ -260,47 +258,36 @@ def check_round_bound(trace: Trace, c: int = 20) -> Verdict:
 
 
 def check_local_global_consistency(trace: Trace) -> Verdict:
-    """On every configuration of the trace, the per-view decision must
-    match the global rule for every robot."""
+    """On every configuration of the trace, each robot's decision from its
+    view (`decide_targets`) must match the global rule (`enabled_moves`):
+    the same targets, or stay.  A robot with no rule while the global rule
+    applies fails."""
     seen = set()
-    for ev in [_initial_event(trace)] + trace.events:
-        occ = ev.occ
-        if occ in seen:
+    initial = _canon_of(parse_occupancy(trace.initial))
+    for step, occ_s in [(0, initial)] + [(ev.step, ev.occ) for ev in trace.events]:
+        if occ_s in seen:
             continue
-        seen.add(occ)
-        cfg = RingConfig.from_string(occ)
-        tag = classify_protocol_state(cfg).tag
-        if tag is Tag.UNKNOWN:
-            return Verdict.fail(ev.step, "unknown state reached", occ)
-        if tag is Tag.GATHERED:
-            continue
-        try:
-            intents = {m.robot_node: frozenset(m.targets) for m in enabled_moves(cfg)}
-        except NoRuleError:
-            return Verdict.fail(ev.step, "no rule for visited state", occ)
-        for node in cfg.occupied:
-            local = decide_targets(cfg, node)
-            if local is None:
-                got = None
+        seen.add(occ_s)
+        occ = parse_occupancy(occ_s)
+        a = _analyze(occ)
+        if a.tag is Tag.UNKNOWN:
+            return Verdict.fail(step, "unknown state reached", occ_s)
+        for node, local in enumerate(_decisions(occ)):
+            if local is _EMPTY:
+                continue
+            targets = a.moves.get(node) if occ[node] == 1 else None
+            want = None if targets is None else frozenset(targets)
+            if isinstance(local, int):
+                got = frozenset((local,))
             elif isinstance(local, tuple):
                 got = frozenset(local)
-            else:
-                got = frozenset((local,))
-            want = None if cfg.occ[node] >= 2 else intents.get(node)
+            else:  # None to stay, or "no rule"
+                got = local
             if got != want:
                 return Verdict.fail(
-                    ev.step,
-                    f"robot at {node}: local {local!r} vs global {want!r}",
-                    occ,
+                    step, f"robot at {node}: local {local!r} vs global {want!r}", occ_s
                 )
     return Verdict.ok()
-
-
-def _initial_event(trace: Trace):
-    cfg = RingConfig.from_string(trace.initial)
-    occ = canonical_form(cfg)
-    tag = classify_protocol_state(cfg).tag.value
-    return TraceEvent(0, "initial", -1, -1, None, occ, tag, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +345,11 @@ def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
 
     `leaf(state, depth)` judges a state reached after `depth` actions before
     it is expanded: a verdict ends the branch there (a failing one ends the
-    search), None expands the state.  A state with no successor, or with no
-    applicable rule, fails with `dead_end(state, depth)`.  A state met again
-    on the current branch fails too, since a scheduler could repeat that
-    cycle forever; without this check the stack would grow without end.
+    search), None expands the state.  A state with no successor fails with
+    `dead_end(state, depth)`; an Unknown state with nothing pending is one.
+    A state met again on the current branch fails too, since a scheduler
+    could repeat that cycle forever; without this check the stack would
+    grow without end.
 
     The memo maps each expanded state to the largest remaining action
     budget it was proven for.  An unbounded `budget` runs every branch to
@@ -390,10 +378,7 @@ def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
             )
         if max_states is not None and len(memo) >= max_states:
             return Verdict.fail(None, f"state budget {max_states} exceeded", None)
-        try:
-            succs = _successors(n, state)
-        except NoRuleError:
-            succs = []
+        succs = _successors(n, state)
         if not succs:
             return dead_end(state, depth)
         on_path.add(state)
@@ -496,7 +481,7 @@ def _transition_table(k: int) -> dict[Tag, TransitionSpec]:
     }
 
 
-def check_phase2_transitions(type_instances, depth_override: int | None = None) -> Verdict:
+def check_phase2_transitions(type_instances) -> Verdict:
     """For each constructed instance, explore every depth-bounded scheduler
     choice and demand that all paths reach the lemma's successor set while
     visiting only its allowed intermediate states.
@@ -518,8 +503,7 @@ def check_phase2_transitions(type_instances, depth_override: int | None = None) 
             if tag is Tag.GATHERED:
                 continue
             return Verdict.fail(None, f"no transition spec for {tag.value}", cfg.to_string())
-        depth = depth_override or spec.depth
-        verdict = _check_one_transition(cfg, tag, spec, depth)
+        verdict = _check_one_transition(cfg, tag, spec, spec.depth)
         if not verdict.passed:
             return verdict
     return Verdict.ok()
@@ -704,7 +688,7 @@ TRACE_CHECKS = {
 
 
 def verify_one_start(initial: RingConfig, random_seeds: int, lazy_seeds: int, c: int,
-                     max_steps: int, consistency: bool = True):
+                     max_steps: int):
     """Run one initial configuration under the full scheduler battery and
     apply every trace check; returns a list of (context, name, Verdict)."""
     results: list[tuple[dict, str, Verdict]] = []
@@ -720,7 +704,7 @@ def verify_one_start(initial: RingConfig, random_seeds: int, lazy_seeds: int, c:
         }
         results.append((context, "round_bound", check_round_bound(trace, c)))
         results += [(context, cname, v) for cname, v in check_trace(trace).items()]
-        if consistency and name == "synchronous":
+        if name == "synchronous":
             results.append(
                 (context, "local_global_consistency", check_local_global_consistency(trace))
             )
@@ -733,7 +717,6 @@ def run_verification(
     lazy_seeds: int = 10,
     c: int = 20,
     transition_ns=(15, 17, 21),
-    transition_k: int = 10,
     lemma1_n_max: int = 11,
     max_steps: int = 400_000,
     jobs: int | None = None,
@@ -771,13 +754,9 @@ def run_verification(
                 record(name, verdict, context)
             verdicts += len(batch)
 
-    for n in transition_ns:
-        instances = build_phase2_instances(n, transition_k)
-        record(
-            "phase2_transitions",
-            check_phase2_transitions(instances),
-            {"n": n, "k": transition_k},
-        )
+    for n in transition_ns:  # at k = 10, the smallest k the protocol allows
+        instances = build_phase2_instances(n, 10)
+        record("phase2_transitions", check_phase2_transitions(instances), {"n": n, "k": 10})
 
     record("lemma1_views", check_lemma1_views(lemma1_n_max), {"n_max": lemma1_n_max})
 

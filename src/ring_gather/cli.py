@@ -40,24 +40,12 @@ def _seed_from(args) -> int:
 
 def _load_config(args) -> RingConfig:
     if args.occ:
-        cfg = RingConfig.from_string(args.occ)
-        if args.n and args.n != cfg.n:
-            raise SystemExit(f"--n {args.n} disagrees with occupancy length {cfg.n}")
-        return cfg
+        return RingConfig.from_string(args.occ)
     raise SystemExit("--occ required")
-
-
-def _validate_params(n: int, k: int) -> None:
-    try:
-        validate_params(n, k)
-    except InvalidStartError as exc:
-        raise SystemExit(str(exc))
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    if not args.relaxed:
-        _validate_params(cfg.n, cfg.k)
     scheduler = builtin_scheduler(args.scheduler, _seed_from(args))
     try:
         trace = run(
@@ -96,7 +84,10 @@ def cmd_verify(args) -> int:
         raise SystemExit("verify needs both --n and --k, or neither")
     grids = ((15, 10), (17, 10))
     if args.n is not None:
-        _validate_params(args.n, args.k)
+        try:
+            validate_params(args.n, args.k)
+        except InvalidStartError as exc:
+            raise SystemExit(str(exc))
         grids = ((args.n, args.k),)
     report = run_verification(
         grids=grids,
@@ -161,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-steps": dict(type=int, default=400_000),
         "--fairness-bound": dict(type=int, default=None),
         "--relaxed": dict(action="store_true",
-                          help="skip protocol size constraints (testing only)"),
+                          help="lift the size constraints except n odd (testing only)"),
         "--random-seeds": dict(type=int, default=50),
         "--lazy-seeds": dict(type=int, default=10),
         "--c": dict(type=int, default=20,
@@ -172,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the rest instead of ignoring them
     commands = (
         ("simulate", cmd_simulate, "run one execution, write JSONL trace",
-         ("--n", "--out", "--occ", "--scheduler", "--seed", "--max-steps",
+         ("--out", "--occ", "--scheduler", "--seed", "--max-steps",
           "--fairness-bound", "--relaxed")),
         ("enumerate", cmd_enumerate, "stream canonical initial configs",
          ("--n", "--k", "--relaxed")),
@@ -180,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
          ("--n", "--k", "--out", "--random-seeds", "--lazy-seeds", "--c",
           "--max-steps", "--jobs")),
         ("classify", cmd_classify, "name the protocol state of a config",
-         ("--n", "--occ")),
+         ("--occ",)),
     )
     for name, func, help_text, names in commands:
         p = sub.add_parser(name, help=help_text)

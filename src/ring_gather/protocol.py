@@ -862,12 +862,14 @@ def _classify(cfg: RingConfig) -> Analysis:
     if len(occupied) == 1:
         roles = {"tower": occupied[0]} if cfg.occ[occupied[0]] >= 2 else {}
         return Analysis(Tag.GATHERED, {}, roles)
+    if cfg.n % 2 == 0:
+        return Analysis(Tag.UNKNOWN, {}, {})
 
     if cfg.towerless:
         return _even_pattern(cfg)
 
     towers = cfg.towers
-    if len(towers) != 1 or cfg.n % 2 == 0:
+    if len(towers) != 1:
         return Analysis(Tag.UNKNOWN, {}, {})
     tower = towers[0]
     pattern = _visible_pattern(cfg)
@@ -925,7 +927,7 @@ def classify_protocol_state(cfg: RingConfig) -> ProtocolState:
     Precedence: Gathered, then tower (Phase 3) states, then Terminal and
     TerminalSkew, then the nine special Phase-2 configurations, then the
     Phase-1 d.block configurations.  Anything outside the protocol's
-    reachable set is Unknown.
+    reachable set is Unknown, as is every even ring but a gathered one.
     """
     a = _analyze(cfg.occ)
     return ProtocolState(a.tag, a.roles)
@@ -994,13 +996,13 @@ def _class_moves(key: tuple[int, ...]):
 def local_decide(view: View) -> Decision:
     """A robot's compute phase: reproduce the global rule from its view.
 
-    The view's pattern is rebuilt with the robot on node 0 and its reading
-    direction along +1, and the robot's entry of that pattern's decision
-    table (see `_decisions`) is read back relative to that direction.
+    The view's pattern is rebuilt with the robot on node 0 (a tower there
+    if the view shows one) and its reading direction along +1, and the
+    robot's entry of that pattern's decision table (see `_decisions`) is
+    read back relative to that direction.
     """
-    if view.tower_here:
-        return Decision.stay()
-    target = _decide(reconstruct_from_view(view).occ, 0)
+    occ = reconstruct_from_view(view).occ
+    target = _decide((2,) + occ[1:] if view.tower_here else occ, 0)
     if target is None:
         return Decision.stay()
     if isinstance(target, tuple):
@@ -1038,8 +1040,9 @@ def _decisions(occ: tuple[int, ...]) -> tuple:
 
     A robot decides from its view alone: the gap cycle read from its node
     in the direction that reads lexicographically larger (clockwise on a
-    tie). Tower robots and a gathered pattern stay.  On an odd ring the
-    rules move the same robots on every placement of a pattern (mirror ties
+    tie). Tower robots and a gathered pattern stay; on an even ring, which
+    the protocol does not cover, every other robot has no rule.  The rules
+    move the same robots on every placement of a pattern (mirror ties
     aside, below), so they run once per class of gap cycle under rotation
     and reversal, on its representative: the pattern rebuilt from the key,
     the largest of the 2w readings (w occupied nodes), with a robot on node
@@ -1049,9 +1052,7 @@ def _decisions(occ: tuple[int, ...]) -> tuple:
     order makes a mirror-symmetric pattern map by a rotation: the rules
     break some mirror ties by clockwise order (a lone robot at distance 2
     from both ends of a block steps clockwise), which a reflection would
-    turn around.  Even rings lie outside the protocol, and there the rules
-    can tell two mirror-image robots apart by node index (Biblock with two
-    robots at distance 2), so each robot's own reading is its key there.
+    turn around.
     """
     n = len(occ)
     nodes = tuple(compress(range(n), occ))
@@ -1060,32 +1061,29 @@ def _decisions(occ: tuple[int, ...]) -> tuple:
     if w == 1:
         table[nodes[0]] = None
         return tuple(table)
+    if n % 2 == 0:
+        return tuple(_NO_RULE if c else _EMPTY for c in occ)
     gaps = tuple((nodes[(i + 1) % w] - nodes[i]) % n for i in range(w))
     back = gaps[::-1]
     # the readings from robot s: clockwise, and counter-clockwise
     cw = [gaps[s:] + gaps[:s] for s in range(w)]
     ccw = [back[w - s :] + back[: w - s] for s in range(w)]
-    if n % 2:
-        key = max(max(cw), max(ccw))
-        moves = _class_moves(key)
-        starts = {1: [s for s in range(w) if cw[s] == key],
-                  -1: [s for s in range(w) if ccw[s] == key]}
+    key = max(max(cw), max(ccw))
+    moves = _class_moves(key)
+    starts = {1: [s for s in range(w) if cw[s] == key],
+              -1: [s for s in range(w) if ccw[s] == key]}
     for i, node in enumerate(nodes):
         if occ[node] >= 2:
             table[node] = None
             continue
-        view_dir = 1 if cw[i] >= ccw[i] else -1
-        if n % 2:
-            # the representative's node 0 is robot s, read in direction e
-            e = view_dir if starts[view_dir] else -view_dir
-            s = min(starts[e], key=lambda s: (s - i) * e % w)
-            here = (node - nodes[s]) * e % n
-        else:
-            e, here = view_dir, 0
-            moves = _class_moves(cw[i] if view_dir == 1 else ccw[i])
         if moves is None:
             table[node] = _NO_RULE
             continue
+        # the representative's node 0 is robot s, read in direction e
+        view_dir = 1 if cw[i] >= ccw[i] else -1
+        e = view_dir if starts[view_dir] else -view_dir
+        s = min(starts[e], key=lambda s: (s - i) * e % w)
+        here = (node - nodes[s]) * e % n
         steps = {(t - here) % n for t in moves.get(here, ())}
         if not steps:
             table[node] = None

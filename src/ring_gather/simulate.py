@@ -82,18 +82,9 @@ def intent_is_incorrect(occ: tuple[int, ...], node: int, target) -> bool:
     if target is None:
         return False
     try:
-        now = _decide(occ, node)
+        return _decide(occ, node) != target
     except NoRuleError:
         return True
-    return _normalize_target(now) != _normalize_target(target)
-
-
-def _normalize_target(t):
-    if t is None:
-        return None
-    if isinstance(t, tuple):
-        return tuple(sorted(t))
-    return t
 
 
 class _Sim:
@@ -428,9 +419,10 @@ class InvalidStartError(ValueError):
     pass
 
 
-def validate_params(n: int, k: int) -> None:
-    """Check the protocol's size constraints: k even, k > 8, n odd and
-    n > k + 3.  The message lists every violated constraint."""
+def validate_params(n: int, k: int, relaxed: bool = False) -> None:
+    """Check the protocol's size constraints: n odd, k even, k > 8 and
+    n > k + 3.  `relaxed` lifts all but n odd: the rules cover odd rings
+    only.  The message lists every violated constraint."""
     problems = []
     if k % 2 != 0:
         problems.append("k even")
@@ -440,28 +432,27 @@ def validate_params(n: int, k: int) -> None:
         problems.append("n odd")
     if n <= k + 3:
         problems.append("n>k+3")
+    if relaxed:
+        problems = [p for p in problems if p == "n odd"]
     if problems:
         raise InvalidStartError("constraint violated: " + ", ".join(problems))
 
 
 def validate_initial(cfg: RingConfig, relaxed: bool = False) -> None:
-    """Check the protocol's preconditions on a start configuration.  A
-    Phase-3 (or gathered) configuration is accepted as a targeted start.
-    With `relaxed`, only towers-with-unknown-shape and periodicity reject."""
+    """Check the protocol's preconditions on a start configuration: no
+    tower and no periodicity, then the sizes (`validate_params`).  A
+    Phase-3 (or gathered) configuration is accepted as a targeted start,
+    tower and all.  With `relaxed`, a start must also have a protocol
+    state."""
     tag = classify_protocol_state(cfg).tag
-    if tag is Tag.GATHERED:
-        return
-    if tag in PHASE3_TAGS:
-        return
-    if not cfg.towerless:
-        raise InvalidStartError("initial configuration has a tower")
-    if classify_symmetry(cfg).periodic:
-        raise InvalidStartError("initial configuration is periodic")
-    if relaxed:
-        if tag is Tag.UNKNOWN:
-            raise InvalidStartError("initial configuration has no protocol state")
-        return
-    validate_params(cfg.n, cfg.k)
+    if tag is not Tag.GATHERED and tag not in PHASE3_TAGS:
+        if not cfg.towerless:
+            raise InvalidStartError("initial configuration has a tower")
+        if classify_symmetry(cfg).periodic:
+            raise InvalidStartError("initial configuration is periodic")
+    validate_params(cfg.n, cfg.k, relaxed)
+    if relaxed and tag is Tag.UNKNOWN:
+        raise InvalidStartError("initial configuration has no protocol state")
 
 
 def run(

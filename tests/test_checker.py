@@ -28,7 +28,12 @@ from ring_gather import (
 )
 
 from ring_gather import checker, check_all_paths_gather, protocol
-from ring_gather.checker import TRACE_CHECKS, _successors, _xstate
+from ring_gather.checker import (
+    TRACE_CHECKS,
+    _successors,
+    _xstate,
+    check_local_global_consistency,
+)
 
 import oracles
 from oracles import orbit_classes
@@ -82,6 +87,8 @@ class TestEnumerate:
             list(enumerate_initial_configs(15, 9))
         with pytest.raises(ValueError, match="n odd"):
             list(enumerate_initial_configs(16, 10))
+        with pytest.raises(ValueError, match="constraint violated: n odd$"):
+            list(enumerate_initial_configs(8, 3, relaxed=True))
 
 
 class TestTraceChecks:
@@ -165,6 +172,21 @@ def traces_15():
         for cfg in enumerate_initial_configs(15, 10)
         for name, seed in SCHEDULES
     ]
+
+
+class TestLocalGlobalConsistency:
+    def test_local_no_rule_is_a_failing_verdict(self):
+        # odd k, which relaxed allows: the global rule moves (BigBlock1_2)
+        # while no robot's view has a rule, so the run is Stuck at step 0
+        trace = run(RingConfig.from_string("..1..11"), builtin_scheduler("synchronous"),
+                    relaxed=True)
+        assert trace.outcome == "Stuck" and trace.events == []
+        verdict = check_local_global_consistency(trace)
+        assert not verdict.passed
+        assert verdict.violation.step == 0 and verdict.violation.occ == "..1..11"
+        assert verdict.violation.description.startswith(
+            "robot at 2: local 'no rule' vs global"
+        )
 
 
 class TestReplayRobustness:

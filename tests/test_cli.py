@@ -50,6 +50,15 @@ def test_simulate_validates_constraints():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--occ", "11111111.1.....", "--scheduler", "synchronous"])
     assert "k even" in str(exc.value)
+    # --relaxed never accepts an even ring, and a Terminal start is
+    # size-checked like any other
+    for argv, message in (
+        (["--relaxed", "--occ", "1111111111......"], "constraint violated: n odd"),
+        (["--occ", "1111.1111.."], "constraint violated: k>8, n>k+3"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *argv])
+        assert message in str(exc.value)
 
 
 def test_simulate_rejects_exhaustive():
@@ -88,7 +97,7 @@ def test_enumerate_needs_both_n_and_k(flag):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--k", "3"], ["--relaxed"], ["--out", "f.txt"]]
+    "flag", [["--k", "3"], ["--relaxed"], ["--out", "f.txt"], ["--n", "15"]]
 )
 def test_classify_rejects_unused_flags(flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -105,6 +114,7 @@ def test_classify_rejects_unused_flags(flag, tmp_path, monkeypatch, capsys):
         ["enumerate", "--n", "15", "--k", "10", "--out", "f.txt"],
         ["enumerate", "--n", "15", "--k", "10", "--occ", "1"],
         ["simulate", "--occ", "1111111111.......", "--k", "3"],
+        ["simulate", "--n", "15", "--occ", TERMINAL],
     ],
 )
 def test_enumerate_and_simulate_reject_unused_flags(argv, tmp_path, monkeypatch, capsys):

@@ -380,8 +380,8 @@ class TestDecisionTable:
     def test_matches_rule_engine_on_every_small_ring_view(self):
         # every gap cycle of n <= 13, whatever its width; this includes the
         # mirror-symmetric patterns whose rules break the tie clockwise (a
-        # lone robot at distance 2 from both ends of a block) and the even
-        # rings, where two robots at distance 2 are told apart by index
+        # lone robot at distance 2 from both ends of a block).  An even ring
+        # lies outside the protocol: no rule, unless gathered
         clear_caches()
         for n in range(2, 14):
             for cuts in itertools.product((False, True), repeat=n - 1):
@@ -392,7 +392,15 @@ class TestDecisionTable:
                         gap = 0
                     gap += 1
                 view = View(tuple(dists) + (gap,), False)
-                assert _local_decision(view) == _engine_decision(view), view
+                tower_view = View(view.dists, True)
+                if n % 2:
+                    assert _local_decision(view) == _engine_decision(view), view
+                    assert _local_decision(tower_view) == Decision.stay(), view
+                elif len(view.dists) > 1:
+                    assert _local_decision(view) is NoRuleError, view
+                    assert _local_decision(tower_view) is NoRuleError, view
+                    pattern = reconstruct_from_view(view)
+                    assert classify_protocol_state(pattern).tag is Tag.UNKNOWN, view
 
     def test_same_decisions_with_cold_caches(self, protocol_views):
         for view in protocol_views:
@@ -400,16 +408,17 @@ class TestDecisionTable:
             assert _local_decision(view) == _engine_decision(view), view
 
     def test_table_matches_per_robot_path(self):
-        # every robot of every towerless occupancy for n = 2..11, of each
-        # with a height-2 tower on its first occupied node, and of every
-        # configuration that the pinned digest runs reach
-        occs = []
+        # every robot of every towerless occupancy for n = 3, 5, ..., 11, of
+        # each with a height-2 tower on its first occupied node, and of every
+        # configuration that the pinned digest runs reach; on the even rings
+        # n = 2, 4, ..., 10 every robot has no rule, unless gathered
+        occs, even_occs = [], []
         for n in range(2, 12):
             for bits in itertools.product((0, 1), repeat=n):
                 if any(bits):
                     tower = list(bits)
                     tower[bits.index(1)] = 2
-                    occs += [bits, tuple(tower)]
+                    (occs if n % 2 else even_occs).extend([bits, tuple(tower)])
         reached = set()
         for start in TRACE_DIGESTS:
             for name, seed in DIGEST_SCHEDULES:
@@ -424,6 +433,24 @@ class TestDecisionTable:
                     assert _outcome(protocol._decide, occ, node) == want, (occ, node)
         with pytest.raises(ValueError, match="no robot at node 1"):
             protocol._decide((1, 0, 1), 1)
+        for occ in even_occs:
+            if sum(map(bool, occ)) > 1:
+                cfg = RingConfig(len(occ), occ)
+                assert classify_protocol_state(cfg).tag is Tag.UNKNOWN, occ
+                for node in cfg.occupied:
+                    assert _outcome(protocol._decide, occ, node) is NoRuleError, (occ, node)
+
+    def test_even_ring_mirror_pair_has_no_rule(self):
+        # two mirror-image robots at distance 2 on an even ring, which the
+        # Biblock rule could tell apart only by node index: neither the
+        # global rule nor a robot's view has a rule there
+        cfg = RingConfig.from_string("1.1...")
+        assert classify_protocol_state(cfg).tag is Tag.UNKNOWN
+        with pytest.raises(NoRuleError):
+            enabled_moves(cfg)
+        for node in (0, 2):
+            with pytest.raises(NoRuleError):
+                decide_targets(cfg, node)
 
     def test_table_is_bounded_and_cleared(self):
         # every memo in the package, found by its lru_cache wrapper

@@ -161,6 +161,13 @@ class TestRun:
             run(cfg_at(16, [0, 1, 2, 3, 4, 6, 7, 8, 9, 11]), builtin_scheduler("synchronous"))
         with pytest.raises(InvalidStartError, match="n>k\\+3"):
             run(cfg_at(13, list(range(10))), builtin_scheduler("synchronous"))
+        # relaxed lifts every size constraint but n odd
+        with pytest.raises(InvalidStartError, match="constraint violated: n odd$"):
+            run(RingConfig.from_string("1111111111......"), builtin_scheduler("synchronous"),
+                relaxed=True)
+        # a Terminal start skips the tower and periodicity checks, not the sizes
+        with pytest.raises(InvalidStartError, match="k>8, n>k\\+3"):
+            run(RingConfig.from_string("1111.1111.."), builtin_scheduler("synchronous"))
 
     def test_phase3_start_accepted(self):
         occ = [0] * 15
@@ -168,6 +175,9 @@ class TestRun:
             occ[p] = 1
         occ[5] = 2
         trace = run(RingConfig(15, tuple(occ)), builtin_scheduler("synchronous"))
+        assert trace.outcome == "Gathered"
+        trace = run(RingConfig.from_string("1111.1111.."), builtin_scheduler("synchronous"),
+                    relaxed=True)
         assert trace.outcome == "Gathered"
 
     def test_conservation(self):
