@@ -29,11 +29,10 @@ from .protocol import (
     _CACHE_SIZE,
     _CLEAR_HOOKS,
     _EMPTY,
-    NoRuleError,
+    _NO_RULE,
     Phase,
     Tag,
     _analyze,
-    _decide,
     _decisions,
     classify_protocol_state,
     enabled_moves,
@@ -161,10 +160,9 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
             elif not occ[src]:
                 mismatch = "activate from an empty node"
             else:
-                try:
-                    pending[robot] = (src, _decide(occ_t, src))
-                except NoRuleError:
-                    pending[robot] = (src, "no-rule")
+                target = _decisions(occ_t)[src]
+                pending[robot] = (src, target)
+                if target is _NO_RULE:
                     recount = True
             if dst is not None:
                 mismatch = mismatch or "activate with a target node"
@@ -281,7 +279,7 @@ def check_local_global_consistency(trace: Trace) -> Verdict:
                 got = frozenset((local,))
             elif isinstance(local, tuple):
                 got = frozenset(local)
-            else:  # None to stay, or "no rule"
+            else:  # None to stay, or _NO_RULE
                 got = local
             if got != want:
                 return Verdict.fail(
@@ -654,21 +652,6 @@ def check_lemma1_views(n_max: int = 11) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckStats:
-    passed: int = 0
-    failed: int = 0
-    first_failure: dict | None = None
-
-    def record(self, verdict: Verdict, context: dict):
-        if verdict.passed:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if self.first_failure is None:
-                self.first_failure = dict(context, **_witness(verdict))
-
-
 def _witness(verdict: Verdict) -> dict:
     v = verdict.violation
     return {
@@ -725,12 +708,12 @@ def run_verification(
     for JSON serialization.  `jobs` > 1 fans configurations out to a
     process pool."""
     t0 = time.monotonic()
-    stats: dict[str, CheckStats] = {}
+    counts: dict[str, list[int]] = {}  # check -> [passed, failed]
     verdicts = 0
     failures: list[dict] = []  # every failing verdict, in record order
 
     def record(name, verdict, context):
-        stats.setdefault(name, CheckStats()).record(verdict, context)
+        counts.setdefault(name, [0, 0])[not verdict.passed] += 1
         if not verdict.passed:
             failures.append(dict(context, check=name, **_witness(verdict)))
 
@@ -761,15 +744,19 @@ def run_verification(
     record("lemma1_views", check_lemma1_views(lemma1_n_max), {"n_max": lemma1_n_max})
 
     elapsed = time.monotonic() - t0
+    first: dict[str, dict] = {}  # check -> its first failure, without the name
+    for failure in failures:
+        if failure["check"] not in first:
+            first[failure["check"]] = {key: v for key, v in failure.items() if key != "check"}
     report = {
-        "passed": all(s.failed == 0 for s in stats.values()),
+        "passed": not failures,
         "checks": {
             name: {
-                "passed": s.passed,
-                "failed": s.failed,
-                "first_counterexample": s.first_failure,
+                "passed": passed,
+                "failed": failed,
+                "first_counterexample": first.get(name),
             }
-            for name, s in sorted(stats.items())
+            for name, (passed, failed) in sorted(counts.items())
         },
         "failures": failures,
         "stats": {"wall_seconds": round(elapsed, 3), "check_results": verdicts},

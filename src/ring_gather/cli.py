@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-steps": dict(type=int, default=400_000),
         "--fairness-bound": dict(type=int, default=None),
         "--relaxed": dict(action="store_true",
-                          help="lift the size constraints except n odd (testing only)"),
+                          help='lift only "k>8" and "n>k+3" (testing only)'),
         "--random-seeds": dict(type=int, default=50),
         "--lazy-seeds": dict(type=int, default=10),
         "--c": dict(type=int, default=20,

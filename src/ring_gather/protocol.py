@@ -208,13 +208,14 @@ def _holes_after(runs, n):
 # by plain tuples and ints: hashing a RingConfig runs in Python and costs
 # more than the lookup it keys.
 _CACHE_SIZE = 65536
-# the `clear` of each memo kept outside this module whose entries derive
-# from the rules (the checker's proven states); `clear_caches` empties them too
+# the `clear` of each memo kept outside this module (the simulator's
+# canonical strings, the checker's proven states); `clear_caches` runs them
 _CLEAR_HOOKS: list = []
 
 
 def clear_caches() -> None:
-    """Empty the rule engine's memos and every memo derived from them."""
+    """Empty every memo in the package: the rule engine's, and each one
+    registered in `_CLEAR_HOOKS`."""
     _analyze.cache_clear()
     _decisions.cache_clear()
     _class_moves.cache_clear()

@@ -35,8 +35,10 @@ from .protocol import (
     NoRuleError,
     Tag,
     _CACHE_SIZE,
+    _CLEAR_HOOKS,
     _analyze,
     _decide,
+    _decisions,
     classify_protocol_state,
 )
 
@@ -101,9 +103,8 @@ class _Sim:
         "pending",
         "step",
         "round",
-        "moved_this_round",
-        "last_cycle_step",
-        "by_last_cycle",
+        "round_start",
+        "last_cycle",
     )
 
     def __init__(self, cfg: RingConfig):
@@ -115,10 +116,9 @@ class _Sim:
         self.pending = [None] * self.k
         self.step = 0
         self.round = 0
-        self.moved_this_round = set()
-        self.last_cycle_step = [0] * self.k
-        # robots by last completed move phase, oldest first (ties by id)
-        self.by_last_cycle = dict.fromkeys(range(self.k))
+        self.round_start = 0  # the step that completed the last round
+        # robot -> step of its last completed move phase, oldest first (ties by id)
+        self.last_cycle = dict.fromkeys(range(self.k), 0)
 
     def apply(self, action: SchedulerAction):
         """Execute one scheduler action; returns (from_node, to_node) with
@@ -160,17 +160,17 @@ class _Sim:
         return node, target
 
     def _complete_move_phase(self, robot: int):
-        self.last_cycle_step[robot] = self.step
-        del self.by_last_cycle[robot]
-        self.by_last_cycle[robot] = None
-        self.moved_this_round.add(robot)
-        if len(self.moved_this_round) == self.k:
+        last_cycle = self.last_cycle
+        del last_cycle[robot]
+        last_cycle[robot] = self.step
+        # a round ends once even the oldest move phase is newer than its start
+        if next(iter(last_cycle.values())) > self.round_start:
             self.round += 1
-            self.moved_this_round.clear()
+            self.round_start = self.step
 
     def starved(self) -> int:
         """The robot whose last completed move phase is oldest."""
-        return next(iter(self.by_last_cycle))
+        return next(iter(self.last_cycle))
 
     def gathered(self) -> bool:
         return self.width == 1
@@ -257,14 +257,12 @@ class Trace:
         return trace
 
 
-def clear_caches() -> None:
-    """Empty the memo of canonical occupancy strings."""
-    _canon_of.cache_clear()
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _canon_of(occ: tuple[int, ...]) -> str:
     return _canonical(occ)
+
+
+_CLEAR_HOOKS.append(_canon_of.cache_clear)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +296,10 @@ def _pending_robots(sim: _Sim):
 
 
 def _enabled_idle(sim: _Sim):
-    occ, positions = sim.occ, sim.positions
-    return [r for r in _idle_robots(sim) if _decide(occ, positions[r]) is not None]
+    """Idle robots whose decision is not Stay; a robot with no rule counts,
+    so activating it ends the run `Stuck`."""
+    table, positions = _decisions(sim.occ), sim.positions
+    return [r for r in _idle_robots(sim) if table[positions[r]] is not None]
 
 
 class SynchronousScheduler(Scheduler):
@@ -421,8 +421,9 @@ class InvalidStartError(ValueError):
 
 def validate_params(n: int, k: int, relaxed: bool = False) -> None:
     """Check the protocol's size constraints: n odd, k even, k > 8 and
-    n > k + 3.  `relaxed` lifts all but n odd: the rules cover odd rings
-    only.  The message lists every violated constraint."""
+    n > k + 3.  `relaxed` lifts only k > 8 and n > k + 3: the rules cover
+    an even number of robots on an odd ring only.  The message lists every
+    violated constraint."""
     problems = []
     if k % 2 != 0:
         problems.append("k even")
@@ -433,7 +434,7 @@ def validate_params(n: int, k: int, relaxed: bool = False) -> None:
     if n <= k + 3:
         problems.append("n>k+3")
     if relaxed:
-        problems = [p for p in problems if p == "n odd"]
+        problems = [p for p in problems if p in ("k even", "n odd")]
     if problems:
         raise InvalidStartError("constraint violated: " + ", ".join(problems))
 
@@ -495,7 +496,7 @@ def run(
             break
         action = None
         starved = sim.starved()
-        if sim.step - sim.last_cycle_step[starved] >= bound - slack:
+        if sim.step - sim.last_cycle[starved] >= bound - slack:
             if sim.pending[starved] is None:
                 action = SchedulerAction("activate", starved)
             else:

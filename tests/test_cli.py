@@ -75,11 +75,15 @@ def test_simulate_seed_env_fallback(tmp_path, monkeypatch, capsys):
 
 
 def test_enumerate_excludes_periodic(capsys):
-    assert main(["enumerate", "--n", "9", "--k", "3", "--relaxed"]) == 0
+    assert main(["enumerate", "--n", "15", "--k", "10", "--relaxed"]) == 0
     captured = capsys.readouterr()
     strings = captured.out.split()
-    assert "1..1..1.." not in strings
+    assert ".11.11.11.11.11" not in strings  # canonical 11.11.11.11.11.
     assert "count=" in captured.err
+    # relaxed never lifts "k even"
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "9", "--k", "3", "--relaxed"])
+    assert "k even" in str(exc.value)
 
 
 def test_enumerate_validates(capsys):

@@ -21,7 +21,7 @@ from ring_gather import (
     local_decide,
     phase_of,
 )
-from ring_gather import checker, protocol, simulate
+from ring_gather import checker, protocol
 from ring_gather.checker import check_all_paths_gather
 from ring_gather.protocol import (
     Decision,
@@ -473,8 +473,7 @@ class TestDecisionTable:
         assert trace.outcome == "Gathered"
         for name, fn in caches.items():
             assert fn.cache_info().currsize > 0, name
-        protocol.clear_caches()
-        simulate.clear_caches()
+        protocol.clear_caches()  # alone, through protocol._CLEAR_HOOKS for the rest
         for name, fn in caches.items():
             assert fn.cache_info().currsize == 0, name
 

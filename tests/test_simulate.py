@@ -15,7 +15,7 @@ from ring_gather import (
     run,
 )
 from ring_gather.protocol import decide_targets
-from ring_gather.simulate import _Sim, intent_is_incorrect
+from ring_gather.simulate import _Sim, intent_is_incorrect, read_trace, write_trace
 
 
 def cfg_at(n, positions):
@@ -35,8 +35,8 @@ def _state(sim):
         tuple(sim.occ),
         list(sim.positions),
         sim.round,
-        set(sim.moved_this_round),
-        list(sim.last_cycle_step),
+        sim.round_start,
+        list(sim.last_cycle.items()),  # a list: the fairness order counts
     )
 
 
@@ -161,7 +161,7 @@ class TestRun:
             run(cfg_at(16, [0, 1, 2, 3, 4, 6, 7, 8, 9, 11]), builtin_scheduler("synchronous"))
         with pytest.raises(InvalidStartError, match="n>k\\+3"):
             run(cfg_at(13, list(range(10))), builtin_scheduler("synchronous"))
-        # relaxed lifts every size constraint but n odd
+        # relaxed lifts only k>8 and n>k+3
         with pytest.raises(InvalidStartError, match="constraint violated: n odd$"):
             run(RingConfig.from_string("1111111111......"), builtin_scheduler("synchronous"),
                 relaxed=True)
@@ -179,6 +179,13 @@ class TestRun:
         trace = run(RingConfig.from_string("1111.1111.."), builtin_scheduler("synchronous"),
                     relaxed=True)
         assert trace.outcome == "Gathered"
+
+    def test_lazy_on_a_robot_without_rule_is_stuck(self):
+        # the lazy adversary activates a robot that has no rule, as the
+        # other schedulers do, and the run ends Stuck instead of raising
+        trace = run(RingConfig.from_string("..11.11111111"), builtin_scheduler("lazy", 1),
+                    relaxed=True)
+        assert trace.outcome == "Stuck"
 
     def test_conservation(self):
         trace = run(BLOCK_15, builtin_scheduler("random", 5))
@@ -330,6 +337,13 @@ TRACE_DIGESTS = {
         "87e460dd64b12980054ebd2022db9dfebeb6e19c70d7feaa581a30df68c76485",
         "70e88650cb94ff01cb20e15a492c12d89a233df882465381182a832e127b40ae",
     ),
+    # symmetric snapshots with either-way intents: at step 12 the synchronous
+    # scheduler walks toward the axis, to node 6 where `min` would pick 4
+    "..11.1.11.11.1.11": (
+        "34f11bf2939c5becb996911a9493044449ac374fb1c6e14f57c58563b0ca5f3b",
+        "8720923f9ec9db3488da31b833c38e39ae4c1cddcb2bcab2e8ebd89bd45b7817",
+        "36f05ffd4c4de8790310b665df104e03c1063c2bbd08b5710e7d3489df1df1db",
+    ),
 }
 
 
@@ -347,13 +361,17 @@ def test_traces_are_byte_identical():
 
 
 class TestTraceSerialization:
-    def test_jsonl_roundtrip(self):
+    def test_jsonl_roundtrip(self, tmp_path):
         trace = run(TERMINAL_15, builtin_scheduler("random", 3))
         text = trace.to_jsonl()
         back = Trace.from_jsonl(text)
         assert back.to_jsonl() == text
         assert back.outcome == trace.outcome
         assert back.events == trace.events
+        path = tmp_path / "trace.jsonl"
+        write_trace(trace, path)
+        assert path.read_text() == text
+        assert read_trace(path) == back
 
     def test_header_and_footer_fields(self):
         import json
