@@ -273,7 +273,7 @@ def check_local_global_consistency(trace: Trace) -> Verdict:
         for node, local in enumerate(_decisions(occ)):
             if local is _EMPTY:
                 continue
-            targets = a.moves.get(node) if occ[node] == 1 else None
+            targets = a.moves.get(node)
             want = None if targets is None else frozenset(targets)
             if isinstance(local, int):
                 got = frozenset((local,))
@@ -319,13 +319,11 @@ def _successors(n: int, state: _XState):
     configuration sequence is preserved."""
     occ, pending = state.occ, state.pending
     out = []
-    a = _analyze(occ)
-    if a.tag is not Tag.GATHERED and a.tag is not Tag.UNKNOWN:
-        busy = {node for node, _ in pending}
-        for node in sorted(a.moves):
-            if occ[node] >= 2 or node in busy:
-                continue  # tower robots never move
-            entry = (node, tuple(sorted(a.moves[node])))
+    moves = _analyze(occ).moves
+    busy = {node for node, _ in pending}
+    for node in sorted(moves):
+        if node not in busy:
+            entry = (node, moves[node])
             out.append((("activate", node), _XState(occ, tuple(sorted(pending + (entry,))))))
     for i, (node, targets) in enumerate(pending):
         rest = pending[:i] + pending[i + 1:]
@@ -574,15 +572,16 @@ def _cfg_from_layout(n: int, pieces) -> RingConfig:
     return RingConfig(n, tuple(occ))
 
 
-def _one_move(cfg: RingConfig, pick=min) -> RingConfig:
-    """Apply one enabled move (the scheduler activates a single robot)."""
-    intents = sorted(enabled_moves(cfg), key=lambda m: m.robot_node)
+def _one_move(cfg: RingConfig) -> RingConfig:
+    """Apply the enabled move of the robot on the lowest node to its first
+    target (the scheduler activates a single robot)."""
+    intents = enabled_moves(cfg)
     if not intents:
         raise ValueError("no enabled move")
-    chosen = pick(intents, key=lambda m: m.robot_node)
+    chosen = min(intents, key=lambda m: m.robot_node)
     occ = list(cfg.occ)
     occ[chosen.robot_node] -= 1
-    occ[sorted(chosen.targets)[0]] += 1
+    occ[chosen.targets[0]] += 1
     return RingConfig(cfg.n, tuple(occ))
 
 

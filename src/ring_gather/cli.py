@@ -39,9 +39,15 @@ def _seed_from(args) -> int:
 
 
 def _load_config(args) -> RingConfig:
-    if args.occ:
-        return RingConfig.from_string(args.occ)
-    raise SystemExit("--occ required")
+    if not args.occ:
+        raise SystemExit("--occ required")
+    try:
+        cfg = RingConfig.from_string(args.occ)
+    except ValueError as exc:
+        raise SystemExit(f"invalid --occ: {exc}")
+    if cfg.k == 0:
+        raise SystemExit("invalid --occ: no robot")
+    return cfg
 
 
 def cmd_simulate(args) -> int:

@@ -131,8 +131,9 @@ class ProtocolState:
     (slave hole), "guides" (guide block node tuples), "biggest" (biggest
     d.block node tuples), "B1"/"B2"/"B3" (run node tuples), "S1"/"S2"/
     "L1"/"L2" (SplitA runs), "leader_blocks"/"slave_blocks" (SplitS),
-    "r1" (the advanced robot of TerminalSkew), "tower" (tower node),
-    "movers" (enabled robot nodes)."""
+    "r1" (the advanced robot of TerminalSkew), "tower" (tower node).
+    Every tag but Gathered and Unknown also has "movers": the nodes of the
+    robots that may move, ascending, read off `Analysis.moves`."""
 
     tag: Tag
     roles: dict
@@ -225,8 +226,13 @@ def clear_caches() -> None:
 
 @dataclass(frozen=True)
 class Analysis:
+    """A configuration's tag, its moves (node -> target nodes) and the roles
+    its rule names.  `moves` is the only statement of who may move: it
+    never names a tower robot's node, it is empty for Gathered and Unknown,
+    and every target tuple is ascending."""
+
     tag: Tag
-    moves: dict  # node -> tuple of target nodes
+    moves: dict
     roles: dict
 
 
@@ -261,7 +267,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
             a = (hole_node - 1) % n
             b = (hole_node + 1) % n
             moves = {a: (hole_node,), b: (hole_node,)}
-            roles = {"H": lead, "slave": sym.slave_hole, "movers": (a, b)}
+            roles = {"H": lead, "slave": sym.slave_hole}
             return Analysis(Tag.TERMINAL, moves, roles)
 
     # TerminalSkew: two 1.blocks at distance 2 whose sizes differ by two.
@@ -279,30 +285,26 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
             else:  # size-1 hole precedes the big run
                 r1 = big[0]
                 mover = (r1 + 1) % n
-            moves = {mover: (r1,)}
             roles = {
                 "B1": _run_nodes(big, n),
                 "B2": _run_nodes(runs[1 - big_i], n),
                 "r1": r1,
-                "movers": (mover,),
             }
-            return Analysis(Tag.TERMINAL_SKEW, moves, roles)
+            return Analysis(Tag.TERMINAL_SKEW, {mover: (r1,)}, roles)
 
     # A lone adjacent pair is the degenerate tail of the tower merge (the
     # TerminalSkew shape with an empty small block): each end targets the
-    # other; the end standing on the tower is filtered out by its own flag.
+    # other; `_classify` drops the end standing on the tower.
     if m == 1 and sizes[0] == 2:
         start, size = runs[0]
         end = (start + 1) % n
-        moves = {start: (end,), end: (start,)}
-        return Analysis(Tag.TERMINAL_SKEW, moves, {"movers": (start, end)})
+        return Analysis(Tag.TERMINAL_SKEW, {start: (end,), end: (start,)}, {})
 
     # Block: a single 1.block of size k; both borders step outward.
     if m == 1:
         start, size = runs[0]
         end = _run_end(runs[0], n)
-        moves = {start: ((start - 1) % n,), end: ((end + 1) % n,)}
-        return Analysis(Tag.BLOCK, moves, {"movers": (start, end)})
+        return Analysis(Tag.BLOCK, {start: ((start - 1) % n,), end: ((end + 1) % n,)}, {})
 
     # Biblock: 1.blocks of sizes k-1 and 1 at distance 2; the far border of
     # the big block steps outward.
@@ -316,11 +318,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
         else:
             mover = _run_end(big, n)
             target = (mover + 1) % n
-        roles = {
-            "B1": _run_nodes(big, n),
-            "B2": _run_nodes(runs[1 - big_i], n),
-            "movers": (mover,),
-        }
+        roles = {"B1": _run_nodes(big, n), "B2": _run_nodes(runs[1 - big_i], n)}
         return Analysis(Tag.BIBLOCK, {mover: (target,)}, roles)
 
     # Start: two 1.blocks of size k/2 not at distance 2; the borders next to
@@ -330,8 +328,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
         a = (lead.start - 1) % n
         b = (lead.start + lead.size) % n
         moves = {a: (lead.start,), b: ((lead.start + lead.size - 1) % n,)}
-        roles = {"H": lead, "slave": sym.slave_hole, "movers": (a, b)}
-        return Analysis(Tag.START, moves, roles)
+        return Analysis(Tag.START, moves, {"H": lead, "slave": sym.slave_hole})
 
     # EvenT / OddT: 1.blocks of sizes k/2, k/2-1 and 1 with the singleton at
     # distance 2 from the (k/2-1)-block; the parity of the hole between the
@@ -353,11 +350,9 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                 # EvenT: the k/2 border sharing the even hole with the
                 # singleton steps out of its block toward the singleton.
                 mover, target = _border_toward(runs[half_i], one_i, half_i, gaps, n)
-                roles["movers"] = (mover,)
                 return Analysis(Tag.EVEN_T, {mover: (target,)}, roles)
             # OddT: the singleton joins the (k/2-1)-block.
             target = _step_toward(runs, gaps, one_i, mid_i, n)
-            roles["movers"] = (iso,)
             return Analysis(Tag.ODD_T, {iso: (target,)}, roles)
 
     # TriBlockS: middle 1.block crossed by the axis edge, one empty node on
@@ -373,11 +368,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                 start, size = runs[mid_i]
                 end = _run_end(runs[mid_i], n)
                 moves = {start: ((start - 1) % n,), end: ((end + 1) % n,)}
-                roles = {
-                    "B1": _run_nodes(runs[mid_i], n),
-                    "H": sym.leader_hole,
-                    "movers": (start, end),
-                }
+                roles = {"B1": _run_nodes(runs[mid_i], n), "H": sym.leader_hole}
                 return Analysis(Tag.TRI_BLOCK_S, moves, roles)
 
     # TriBlockA: one 1.block at distance 2 from both others, whose sizes
@@ -399,7 +390,6 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                     "B1": _run_nodes(runs[b1], n),
                     "B2": _run_nodes(runs[big_i], n),
                     "B3": _run_nodes(runs[small_i], n),
-                    "movers": (mover,),
                 }
                 return Analysis(Tag.TRI_BLOCK_A, {mover: (target,)}, roles)
 
@@ -413,7 +403,6 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
         others = [h for h in hole_list if h not in (lead, slave)]
         if len(others) == 2 and all(h.size == 1 for h in others):
             moves = {}
-            movers = []
             leader_blocks = []
             slave_blocks = []
             for i in range(4):
@@ -434,13 +423,11 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                         mover = right[0]
                         target = (mover - 1) % n
                     moves[mover] = (target,)
-                    movers.append(mover)
             roles = {
                 "H": lead,
                 "slave": slave,
                 "leader_blocks": tuple(_run_nodes(r, n) for r in leader_blocks),
                 "slave_blocks": tuple(_run_nodes(r, n) for r in slave_blocks),
-                "movers": tuple(sorted(movers)),
             }
             return Analysis(Tag.SPLIT_S, moves, roles)
 
@@ -469,7 +456,6 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                         "S2": _run_nodes(runs[s2], n),
                         "L1": _run_nodes(runs[l1], n),
                         "L2": _run_nodes(runs[l2], n),
-                        "movers": (mover,),
                     }
                     return Analysis(Tag.SPLIT_A, {mover: (target,)}, roles)
 
@@ -530,11 +516,7 @@ def _phase1_pattern(cfg: RingConfig, sym) -> Analysis:
                 a = (lead.start - 1) % n
                 b = (lead.start + lead.size) % n
                 moves = {a: ((a - 1) % n,), b: ((b + 1) % n,)}
-                roles = {
-                    "H": lead,
-                    "blocks": tuple(b_.nodes(n) for b_ in blocks),
-                    "movers": (a, b),
-                }
+                roles = {"H": lead, "blocks": tuple(b_.nodes(n) for b_ in blocks)}
                 return Analysis(Tag.BLOCK_DISTANCE, moves, roles)
             return Analysis(Tag.UNKNOWN, {}, {})
         if len(blocks) > 2:
@@ -556,7 +538,7 @@ def _block_mirror1(cfg: RingConfig, dec) -> Analysis:
     for v, dist, dirs in cand:
         if v in movers:
             moves[v] = tuple(sorted((v + s) % n for s in dirs))
-    roles = {"blocks": tuple(b.nodes(n) for b in dec.blocks), "movers": tuple(sorted(moves))}
+    roles = {"blocks": tuple(b.nodes(n) for b in dec.blocks)}
     return Analysis(Tag.BLOCK_MIRROR_1, moves, roles)
 
 
@@ -591,11 +573,7 @@ def _block_mirror2(cfg: RingConfig, sym, dec) -> Analysis:
             if _hole_between_is_leader(border, step, lead, n):
                 continue  # the shared hole must differ from H
             moves[nxt] = ((nxt - step) % n,)
-    roles = {
-        "H": lead,
-        "guides": tuple(g.nodes(n) for g in guides),
-        "movers": tuple(sorted(moves)),
-    }
+    roles = {"H": lead, "guides": tuple(g.nodes(n) for g in guides)}
     return Analysis(Tag.BLOCK_MIRROR_2, moves, roles)
 
 
@@ -646,11 +624,7 @@ def _big_block(cfg: RingConfig, sym, dec) -> Analysis:
     for v, dist, dirs in cand:
         if v in movers:
             moves[v] = tuple(sorted((v + s) % n for s in dirs))
-    roles = {
-        "biggest": tuple(b.nodes(n) for b in biggest),
-        "movers": tuple(sorted(moves)),
-    }
-    return Analysis(tag, moves, roles)
+    return Analysis(tag, moves, {"biggest": tuple(b.nodes(n) for b in biggest)})
 
 
 def _isolated_candidates(cfg: RingConfig, dec, biggest_nodes):
@@ -709,11 +683,7 @@ def _try_big_block_1_1(cfg: RingConfig, sym, dec):
     mover = i1 if da > db else i2
     step = dists[mover][1]
     moves = {mover: ((mover + step) % n,)}
-    roles = {
-        "isolated": (i1, i2),
-        "blocks": tuple(b.nodes(n) for b in dec.blocks),
-        "movers": (mover,),
-    }
+    roles = {"isolated": (i1, i2), "blocks": tuple(b.nodes(n) for b in dec.blocks)}
     return Analysis(Tag.BIG_BLOCK_1_1, moves, roles)
 
 
@@ -792,11 +762,7 @@ def _odd_pattern(cfg: RingConfig):
         start, size = runs[0]
         center = (start + (size - 1) // 2) % n
         a, b = (center - 1) % n, (center + 1) % n
-        return (
-            "single",
-            {a: (center,), b: (center,)},
-            {"center": center, "movers": (a, b)},
-        )
+        return "single", {a: (center,), b: (center,)}, {"center": center}
 
     if m == 2:
         # One lagging singleton at distance 2 from the merged block.
@@ -808,7 +774,7 @@ def _odd_pattern(cfg: RingConfig):
                     target = (iso + 1) % n
                 else:
                     target = (iso - 1) % n
-                return "skew21", {iso: (target,)}, {"movers": (iso,)}
+                return "skew21", {iso: (target,)}, {}
         return None, {}, {}
 
     if m == 3:
@@ -824,22 +790,16 @@ def _odd_pattern(cfg: RingConfig):
         if mid_size % 2 == 1 and s_a == s_b:
             # symmetric absorb step: both side borders move toward the middle
             moves = {}
-            movers = []
             for si in sides:
                 mover, target = _border_toward(runs[si], mid, si, gaps, n)
                 moves[mover] = (target,)
-                movers.append(mover)
             center = (runs[mid][0] + (mid_size - 1) // 2) % n
-            return (
-                "absorb",
-                moves,
-                {"center": center, "movers": tuple(sorted(movers))},
-            )
+            return "absorb", moves, {"center": center}
         if mid_size % 2 == 0 and abs(s_a - s_b) == 1:
             # one side is a move ahead; the bigger side's border catches up
             big_side = sides[0] if s_a > s_b else sides[1]
             mover, target = _border_toward(runs[big_side], mid, big_side, gaps, n)
-            return "skew3", {mover: (target,)}, {"movers": (mover,)}
+            return "skew3", {mover: (target,)}, {}
         return None, {}, {}
 
     return None, {}, {}
@@ -897,9 +857,8 @@ def _classify(cfg: RingConfig) -> Analysis:
     if pat_analysis.tag is Tag.TERMINAL_SKEW:
         r1 = pat_analysis.roles.get("r1")
         if r1 is None or r1 == tower:
-            moves = {
-                v: t for v, t in pat_analysis.moves.items() if cfg.occ[v] == 1
-            }
+            # the tower robot never moves
+            moves = {v: t for v, t in pat_analysis.moves.items() if cfg.occ[v] == 1}
             return _confirm_skew(cfg, moves, pat_analysis.roles, tower)
     return Analysis(Tag.UNKNOWN, {}, {})
 
@@ -931,22 +890,17 @@ def classify_protocol_state(cfg: RingConfig) -> ProtocolState:
     reachable set is Unknown, as is every even ring but a gathered one.
     """
     a = _analyze(cfg.occ)
-    return ProtocolState(a.tag, a.roles)
+    if a.tag is Tag.GATHERED or a.tag is Tag.UNKNOWN:
+        return ProtocolState(a.tag, a.roles)
+    return ProtocolState(a.tag, dict(a.roles, movers=tuple(sorted(a.moves))))
 
 
 def enabled_moves(cfg: RingConfig) -> frozenset[MoveIntent]:
     """The robots allowed to move and their admissible destinations."""
     a = _analyze(cfg.occ)
-    if a.tag is Tag.GATHERED:
-        return frozenset()
     if a.tag is Tag.UNKNOWN:
         raise NoRuleError("no rule")
-    intents = []
-    for node, targets in a.moves.items():
-        if cfg.occ[node] >= 2:
-            continue  # tower robots never move
-        intents.append(MoveIntent(node, tuple(sorted(targets))))
-    return frozenset(intents)
+    return frozenset(MoveIntent(node, targets) for node, targets in a.moves.items())
 
 
 def phase_of(state: ProtocolState | Tag) -> Phase:

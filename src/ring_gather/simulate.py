@@ -346,10 +346,9 @@ def _walk_distance(node, first_step_node, goal, n):
     return (node - goal) % n
 
 
-class RandomFairScheduler(Scheduler):
-    """Uniformly random valid action each step, seeded."""
-
-    name = "random"
+class _SeededScheduler(Scheduler):
+    """An adversary whose choices, directions included, come from one RNG
+    seeded with `seed` at every `start`."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -357,6 +356,15 @@ class RandomFairScheduler(Scheduler):
 
     def start(self, sim: _Sim):
         self._rng = Random(self.seed)
+
+    def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
+        return self._rng.choice(sorted(intent.target))
+
+
+class RandomFairScheduler(_SeededScheduler):
+    """Uniformly random valid action each step, seeded."""
+
+    name = "random"
 
     def propose(self, sim: _Sim) -> SchedulerAction:
         choices = [("activate", r) for r in _idle_robots(sim)]
@@ -364,23 +372,13 @@ class RandomFairScheduler(Scheduler):
         kind, robot = self._rng.choice(choices)
         return SchedulerAction(kind, robot)
 
-    def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
-        return self._rng.choice(sorted(intent.target))
 
-
-class LazyScheduler(Scheduler):
+class LazyScheduler(_SeededScheduler):
     """Adversary that maximizes outdated intents: it first lets every
     enabled robot take a snapshot, then fires the newest snapshots first,
     keeping the oldest intent pending until fairness forces it out."""
 
     name = "lazy"
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._rng = Random(seed)
-
-    def start(self, sim: _Sim):
-        self._rng = Random(self.seed)
 
     def propose(self, sim: _Sim) -> SchedulerAction:
         enabled = _enabled_idle(sim)
@@ -394,9 +392,6 @@ class LazyScheduler(Scheduler):
             return SchedulerAction("fire", newest)
         # nobody enabled, nothing pending: cycle an arbitrary idle robot
         return SchedulerAction("activate", self._rng.choice(_idle_robots(sim)))
-
-    def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
-        return self._rng.choice(sorted(intent.target))
 
 
 def builtin_scheduler(name: str, seed: int | None = None) -> Scheduler:
@@ -467,7 +462,10 @@ def run(
 
     The scheduler proposes actions; whenever a robot is close to exceeding
     the fairness bound since its last completed cycle, a forced action on
-    the most starved robot replaces the proposal.
+    the most starved robot replaces the proposal.  A run is stuck when a
+    robot with no rule is activated, or when after a move no robot can
+    move again: every robot's decision is Stay and no pending intent has a
+    target.
     """
     validate_initial(initial, relaxed=relaxed)
     sim = _Sim(initial)
@@ -524,6 +522,12 @@ def run(
                 sim.step, action.kind, action.robot, from_node, to_node, canon, tag, sim.round
             )
         )
+        # after a move, no robot can change the configuration again when
+        # every occupied node's decision is Stay and no intent has a target
+        if to_node is not None and _decisions(sim.occ).count(None) == sim.width:
+            if not sim.gathered() and all(p is None or p.target is None for p in sim.pending):
+                trace.outcome = "Stuck"
+                break
     trace.rounds = sim.round
     return trace
 

@@ -18,6 +18,22 @@ def test_classify_terminal(capsys):
     assert "move 4 -> [5]" in out and "move 6 -> [5]" in out
 
 
+def test_classify_lists_only_robots_that_move(capsys):
+    # the robot on the tower (node 5) never moves, so it is no mover
+    assert main(["classify", "--occ", ".....91........"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "role movers=(6,)" in lines
+    assert [ln for ln in lines if ln.startswith("move ")] == ["move 6 -> [5]"]
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+@pytest.mark.parametrize("occ", ["1.!", "....."])
+def test_invalid_occ_is_rejected(command, occ):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--occ", occ])
+    assert str(exc.value).startswith("invalid --occ: ")
+
+
 def test_classify_prints_canonical(capsys):
     # the canonical form is shared by every rotation of the Terminal shape
     main(["classify", "--occ", ".11111.11111..."])

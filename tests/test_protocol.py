@@ -45,7 +45,7 @@ def cfg_at(n, positions):
 
 
 def moves_of(cfg):
-    return {m.robot_node: tuple(sorted(m.targets)) for m in enabled_moves(cfg)}
+    return {m.robot_node: m.targets for m in enabled_moves(cfg)}
 
 
 TERMINAL_15 = cfg_at(15, list(range(5)) + list(range(6, 11)))
@@ -234,6 +234,25 @@ class TestEnabledMoves:
             towers = set(cfg.towers)
             for m in enabled_moves(cfg):
                 assert m.robot_node not in towers
+
+    def test_moves_say_who_may_move(self):
+        # every occupancy of odd n <= 11, towerless and with a height-2 tower
+        # on each occupied node: the rules' moves never name a tower robot,
+        # are empty for Gathered and Unknown and have ascending targets, and
+        # the "movers" role lists exactly their nodes
+        for n in range(1, 12, 2):
+            for bits in range(1, 1 << n):
+                occ = tuple((bits >> i) & 1 for i in range(n))
+                towered = [occ[:v] + (2,) + occ[v + 1:] for v in range(n) if occ[v]]
+                for o in [occ] + towered:
+                    a = protocol._analyze(o)
+                    assert all(o[v] == 1 for v in a.moves), o
+                    assert all(list(t) == sorted(set(t)) for t in a.moves.values()), o
+                    roles = classify_protocol_state(RingConfig(n, o)).roles
+                    if a.tag in (Tag.GATHERED, Tag.UNKNOWN):
+                        assert not a.moves and "movers" not in roles, o
+                    else:
+                        assert roles["movers"] == tuple(sorted(a.moves)), o
 
 
 class TestSymmetricPairProperty:

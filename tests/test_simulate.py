@@ -187,6 +187,15 @@ class TestRun:
                     relaxed=True)
         assert trace.outcome == "Stuck"
 
+    @pytest.mark.parametrize("start", ["...1.11.11111.111.1", "..1.1..11.11111.111"])
+    def test_run_that_no_robot_can_change_is_stuck(self, start):
+        # the last move lands on a tower state with no protocol state, where
+        # every robot stays; the run ends there instead of at the step limit
+        trace = run(RingConfig.from_string(start), builtin_scheduler("lazy", 0))
+        assert trace.outcome == "Stuck"
+        assert len(trace.events) == 46
+        assert trace.events[-1].occ == "......1.11111111.21"
+
     def test_conservation(self):
         trace = run(BLOCK_15, builtin_scheduler("random", 5))
         assert trace.outcome == "Gathered"
