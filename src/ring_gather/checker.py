@@ -30,13 +30,13 @@ from .protocol import (
     _CLEAR_HOOKS,
     _EMPTY,
     _NO_RULE,
+    PHASES,
     Phase,
     Tag,
     _analyze,
     _decisions,
     classify_protocol_state,
     enabled_moves,
-    phase_of,
 )
 from .simulate import (
     Trace,
@@ -105,7 +105,7 @@ def enumerate_initial_configs(n: int, k: int, relaxed: bool = False):
 
 _P3_ENTRY = {Tag.TERMINAL_SKEW.value, Tag.TARGET.value}
 # the phase of every tag string a trace may record; Unknown has none
-_PHASES = {tag.value: phase_of(tag) for tag in Tag if tag is not Tag.UNKNOWN}
+_PHASES = {tag.value: phase for tag, phase in PHASES.items()}
 _PASS = Verdict.ok()
 _TOWERLESS = frozenset(".1")
 
@@ -293,49 +293,42 @@ def check_local_global_consistency(trace: Trace) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _XState:
-    occ: tuple[int, ...]
-    pending: tuple  # of (node, sorted target nodes), sorted by node
-
-
-def _xstate(cfg: RingConfig) -> _XState:
-    return _XState(cfg.occ, ())
-
+# An explorer state is a pair (occ, pending): the occupancy tuple and the
+# pending intents as (node, ascending target nodes) pairs, sorted by node.
 
 # States from which every branch ends gathered, with no cycle and no dead
 # end; every state reachable from one has the same property, so any
 # unbudgeted search may skip them, whatever start it began from. Bounded
 # like the rule engine's memos and emptied with them: its entries follow
 # from the rules.
-_PROVEN: set[_XState] = set()
+_PROVEN: set[tuple] = set()
 _CLEAR_HOOKS.append(_PROVEN.clear)
 
 
-def _successors(n: int, state: _XState):
+def _successors(n: int, state: tuple):
     """All (action-label, next-state) pairs under enabled activations and
     pending fires.  Activating a robot whose decision is Stay never changes
     any configuration, so those actions are omitted; every reachable
     configuration sequence is preserved."""
-    occ, pending = state.occ, state.pending
+    occ, pending = state
     out = []
     moves = _analyze(occ).moves
     busy = {node for node, _ in pending}
     for node in sorted(moves):
         if node not in busy:
             entry = (node, moves[node])
-            out.append((("activate", node), _XState(occ, tuple(sorted(pending + (entry,))))))
+            out.append((("activate", node), (occ, tuple(sorted(pending + (entry,))))))
     for i, (node, targets) in enumerate(pending):
         rest = pending[:i] + pending[i + 1:]
         for t in targets:
             nxt = list(occ)
             nxt[node] -= 1
             nxt[t] += 1
-            out.append((("fire", node, t), _XState(tuple(nxt), rest)))
+            out.append((("fire", node, t), (tuple(nxt), rest)))
     return out
 
 
-def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
+def _all_paths(n: int, start: tuple, leaf, dead_end, budget: float = math.inf,
                max_states: int | None = None) -> Verdict:
     """Depth-first search over every scheduler choice from `start`.
 
@@ -354,12 +347,12 @@ def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
     proved.  A search fails rather than expand a state once it has proven
     `max_states` states itself.
     """
-    memo: dict[_XState, float] = {}
+    memo: dict[tuple, float] = {}
     shared = _PROVEN if budget == math.inf else frozenset()
-    on_path: set[_XState] = set()
+    on_path: set[tuple] = set()
     stack: list = []  # (state, its successor iterator) for each state on the path
 
-    def enter(state: _XState) -> Verdict | None:
+    def enter(state: tuple) -> Verdict | None:
         depth = len(stack)
         verdict = leaf(state, depth)
         if verdict is not None:
@@ -370,7 +363,7 @@ def _all_paths(n: int, start: _XState, leaf, dead_end, budget: float = math.inf,
             return Verdict.fail(
                 depth,
                 "configuration repeated on one branch: a scheduler can cycle forever",
-                RingConfig(n, state.occ).to_string(),
+                RingConfig(n, state[0]).to_string(),
             )
         if max_states is not None and len(memo) >= max_states:
             return Verdict.fail(None, f"state budget {max_states} exceeded", None)
@@ -425,15 +418,15 @@ def check_all_paths_gather(cfg: RingConfig, max_states: int = 200_000) -> Verdic
     call do not count."""
     n = cfg.n
 
-    def gathered(state: _XState, _depth: int) -> Verdict | None:
-        return _PASS if state.occ.count(0) == n - 1 else None
+    def gathered(state: tuple, _depth: int) -> Verdict | None:
+        return _PASS if state[0].count(0) == n - 1 else None
 
-    def dead_end(state: _XState, _depth: int) -> Verdict:
+    def dead_end(state: tuple, _depth: int) -> Verdict:
         return Verdict.fail(
-            None, "branch ends without gathering", RingConfig(n, state.occ).to_string()
+            None, "branch ends without gathering", RingConfig(n, state[0]).to_string()
         )
 
-    return _all_paths(n, _xstate(cfg), gathered, dead_end, max_states=max_states)
+    return _all_paths(n, (cfg.occ, ()), gathered, dead_end, max_states=max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +515,11 @@ def _arrival_ok(tag: Tag, start_cfg: RingConfig, arrival: RingConfig) -> str | N
 def _check_one_transition(cfg, tag, spec, depth) -> Verdict:
     n = cfg.n
 
-    def judge(state: _XState, used: int) -> Verdict | None:
-        st_tag = _analyze(state.occ).tag
+    def judge(state: tuple, used: int) -> Verdict | None:
+        occ = state[0]
+        st_tag = _analyze(occ).tag
         if st_tag in spec.targets:
-            arrival = RingConfig(n, state.occ)
+            arrival = RingConfig(n, occ)
             problem = _arrival_ok(tag, cfg, arrival)
             if problem:
                 return Verdict.fail(used, problem, arrival.to_string())
@@ -534,22 +528,22 @@ def _check_one_transition(cfg, tag, spec, depth) -> Verdict:
             return Verdict.fail(
                 used,
                 f"{tag.value}: reached {st_tag.value}, outside allowed set",
-                RingConfig(n, state.occ).to_string(),
+                RingConfig(n, occ).to_string(),
             )
         if used == depth:
             return Verdict.fail(
                 used,
                 f"{tag.value}: target set not reached within {depth} actions",
-                RingConfig(n, state.occ).to_string(),
+                RingConfig(n, occ).to_string(),
             )
         return None
 
-    def dead_end(state: _XState, used: int) -> Verdict:
+    def dead_end(state: tuple, used: int) -> Verdict:
         return Verdict.fail(
-            used, f"{tag.value}: dead end", RingConfig(n, state.occ).to_string()
+            used, f"{tag.value}: dead end", RingConfig(n, state[0]).to_string()
         )
 
-    return _all_paths(n, _xstate(cfg), judge, dead_end, budget=depth)
+    return _all_paths(n, (cfg.occ, ()), judge, dead_end, budget=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +569,13 @@ def _cfg_from_layout(n: int, pieces) -> RingConfig:
 def _one_move(cfg: RingConfig) -> RingConfig:
     """Apply the enabled move of the robot on the lowest node to its first
     target (the scheduler activates a single robot)."""
-    intents = enabled_moves(cfg)
-    if not intents:
+    moves = enabled_moves(cfg)
+    if not moves:
         raise ValueError("no enabled move")
-    chosen = min(intents, key=lambda m: m.robot_node)
+    node = min(moves)
     occ = list(cfg.occ)
-    occ[chosen.robot_node] -= 1
-    occ[chosen.targets[0]] += 1
+    occ[node] -= 1
+    occ[moves[node][0]] += 1
     return RingConfig(cfg.n, tuple(occ))
 
 

@@ -63,6 +63,8 @@ def cmd_simulate(args) -> int:
         )
     except InvalidStartError as exc:
         raise SystemExit(f"invalid initial configuration: {exc}")
+    except ValueError as exc:  # a fairness bound below 2k
+        raise SystemExit(str(exc))
     if args.out:
         write_trace(trace, args.out)
     else:
@@ -132,9 +134,8 @@ def cmd_classify(args) -> int:
     for key, value in sorted(state.roles.items()):
         print(f"role {key}={value}")
     if state.tag not in (Tag.UNKNOWN, Tag.GATHERED):
-        moves = sorted(enabled_moves(cfg), key=lambda m: m.robot_node)
-        for m in moves:
-            print(f"move {m.robot_node} -> {list(m.targets)}")
+        for node, targets in sorted(enabled_moves(cfg).items()):
+            print(f"move {node} -> {list(targets)}")
     return 0
 
 
@@ -190,7 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| grep -q`): stop without a
+        # traceback, and send the interpreter's last flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -82,46 +82,32 @@ class Tag(str, Enum):
     UNKNOWN = "Unknown"
 
 
-PHASE1_TAGS = frozenset(
-    {
-        Tag.BLOCK_DISTANCE,
-        Tag.BLOCK_MIRROR_1,
-        Tag.BLOCK_MIRROR_2,
-        Tag.BIG_BLOCK_1_1,
-        Tag.BIG_BLOCK_1_2,
-        Tag.BIG_BLOCK_2,
-    }
-)
-PHASE2_TAGS = frozenset(
-    {
-        Tag.START,
-        Tag.EVEN_T,
-        Tag.SPLIT_S,
-        Tag.SPLIT_A,
-        Tag.ODD_T,
-        Tag.BLOCK,
-        Tag.BIBLOCK,
-        Tag.TRI_BLOCK_S,
-        Tag.TRI_BLOCK_A,
-    }
-)
-PHASE3_TAGS = frozenset(
-    {
-        Tag.TERMINAL,
-        Tag.TERMINAL_SKEW,
-        Tag.TARGET,
-        Tag.P3_ABSORB,
-        Tag.P3_SINGLE_BLOCK,
-        Tag.P3_SKEW,
-    }
-)
-
-
 class Phase(str, Enum):
     PHASE1 = "Phase1"
     PHASE2 = "Phase2"
     PHASE3 = "Phase3"
     DONE = "Done"
+
+
+# the phase of every tag but Unknown
+PHASES: dict[Tag, Phase] = {
+    **dict.fromkeys(
+        (Tag.BLOCK_DISTANCE, Tag.BLOCK_MIRROR_1, Tag.BLOCK_MIRROR_2,
+         Tag.BIG_BLOCK_1_1, Tag.BIG_BLOCK_1_2, Tag.BIG_BLOCK_2),
+        Phase.PHASE1,
+    ),
+    **dict.fromkeys(
+        (Tag.START, Tag.EVEN_T, Tag.SPLIT_S, Tag.SPLIT_A, Tag.ODD_T, Tag.BLOCK,
+         Tag.BIBLOCK, Tag.TRI_BLOCK_S, Tag.TRI_BLOCK_A),
+        Phase.PHASE2,
+    ),
+    **dict.fromkeys(
+        (Tag.TERMINAL, Tag.TERMINAL_SKEW, Tag.TARGET, Tag.P3_ABSORB,
+         Tag.P3_SINGLE_BLOCK, Tag.P3_SKEW),
+        Phase.PHASE3,
+    ),
+    Tag.GATHERED: Phase.DONE,
+}
 
 
 @dataclass(frozen=True)
@@ -140,42 +126,6 @@ class ProtocolState:
 
     def __post_init__(self):
         object.__setattr__(self, "roles", dict(self.roles))
-
-
-@dataclass(frozen=True)
-class MoveIntent:
-    """One enabled robot and its admissible destination nodes.  Two targets
-    mean the adversary picks the direction."""
-
-    robot_node: int
-    targets: tuple[int, ...]
-
-
-class LocalDecision(Enum):
-    STAY = "stay"
-    MOVE = "move"
-    MOVE_EITHER = "move-either"
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of a robot's compute phase, in view coordinates: FORWARD is
-    the direction the view's distance sequence was read in."""
-
-    kind: LocalDecision
-    forward: bool | None = None  # for MOVE: True = along dists[0]
-
-    @classmethod
-    def stay(cls):
-        return cls(LocalDecision.STAY)
-
-    @classmethod
-    def move(cls, forward: bool):
-        return cls(LocalDecision.MOVE, forward)
-
-    @classmethod
-    def either(cls):
-        return cls(LocalDecision.MOVE_EITHER)
 
 
 # ---------------------------------------------------------------------------
@@ -895,26 +845,22 @@ def classify_protocol_state(cfg: RingConfig) -> ProtocolState:
     return ProtocolState(a.tag, dict(a.roles, movers=tuple(sorted(a.moves))))
 
 
-def enabled_moves(cfg: RingConfig) -> frozenset[MoveIntent]:
-    """The robots allowed to move and their admissible destinations."""
+def enabled_moves(cfg: RingConfig) -> dict[int, tuple[int, ...]]:
+    """The robots allowed to move: a fresh dict from each one's node to its
+    admissible destination nodes, ascending.  Two destinations mean the
+    scheduler picks the direction."""
     a = _analyze(cfg.occ)
     if a.tag is Tag.UNKNOWN:
         raise NoRuleError("no rule")
-    return frozenset(MoveIntent(node, targets) for node, targets in a.moves.items())
+    return dict(a.moves)
 
 
 def phase_of(state: ProtocolState | Tag) -> Phase:
-    """Which phase a protocol state belongs to."""
+    """Which phase a protocol state belongs to (see `PHASES`)."""
     tag = state.tag if isinstance(state, ProtocolState) else state
-    if tag in PHASE1_TAGS:
-        return Phase.PHASE1
-    if tag in PHASE2_TAGS:
-        return Phase.PHASE2
-    if tag in PHASE3_TAGS:
-        return Phase.PHASE3
-    if tag is Tag.GATHERED:
-        return Phase.DONE
-    raise ValueError("no phase for Unknown state")
+    if tag not in PHASES:
+        raise ValueError("no phase for Unknown state")
+    return PHASES[tag]
 
 
 def reconstruct_from_view(view: View) -> RingConfig:
@@ -948,21 +894,18 @@ def _class_moves(key: tuple[int, ...]):
     return None if shape is None else moves
 
 
-def local_decide(view: View) -> Decision:
+def local_decide(view: View):
     """A robot's compute phase: reproduce the global rule from its view.
 
     The view's pattern is rebuilt with the robot on node 0 (a tower there
     if the view shows one) and its reading direction along +1, and the
     robot's entry of that pattern's decision table (see `_decisions`) is
-    read back relative to that direction.
+    returned, relative to that direction: None to stay, 1 for one step
+    along the reading direction, n - 1 for one step against it, or
+    ``(n - 1, 1)`` when the scheduler picks the direction.
     """
     occ = reconstruct_from_view(view).occ
-    target = _decide((2,) + occ[1:] if view.tower_here else occ, 0)
-    if target is None:
-        return Decision.stay()
-    if isinstance(target, tuple):
-        return Decision.either()
-    return Decision.move(forward=target == 1)
+    return _decide((2,) + occ[1:] if view.tower_here else occ, 0)
 
 
 def decide_targets(cfg: RingConfig, node: int):

@@ -184,7 +184,6 @@ class BlockDecomposition:
     d: int
     blocks: tuple[DBlock, ...]
     isolated: tuple[int, ...]
-    holes: tuple[Hole, ...]
 
 
 def _runs_of(indices: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -328,8 +327,8 @@ def inter_distance(cfg: RingConfig) -> int:
 
 
 def decompose_blocks(cfg: RingConfig) -> BlockDecomposition:
-    """Split a towerless configuration into maximal d.blocks, isolated
-    robots, and holes, where d is the inter-distance.
+    """Split a towerless configuration into maximal d.blocks and isolated
+    robots, where d is the inter-distance.
 
     A d.block is a maximal run of robots spaced exactly d apart and has at
     least two robots; robots in no d.block are isolated.
@@ -347,7 +346,7 @@ def decompose_blocks(cfg: RingConfig) -> BlockDecomposition:
         # robots evenly spaced around the whole ring (periodic); report one
         # block so the decomposition stays a partition
         blocks = (DBlock(occ_nodes[0], w, d),)
-        return BlockDecomposition(d, blocks, (), holes(cfg))
+        return BlockDecomposition(d, blocks, ())
     # rotate so the list starts just after a gap > d
     cut = next(i for i in range(w) if gaps[i] != d)
     order = [(cut + 1 + i) % w for i in range(w)]
@@ -366,7 +365,7 @@ def decompose_blocks(cfg: RingConfig) -> BlockDecomposition:
                 isolated.append(run[0])
             run = [nxt]
     blocks.sort(key=lambda b: b.start)
-    return BlockDecomposition(d, tuple(blocks), tuple(sorted(isolated)), holes(cfg))
+    return BlockDecomposition(d, tuple(blocks), tuple(sorted(isolated)))
 
 
 def ring_distance(a: int, b: int, n: int) -> int:

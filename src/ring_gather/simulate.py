@@ -26,13 +26,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
+from operator import not_
 from random import Random
 from typing import NamedTuple
 
 from .ring import RingConfig, _canonical, classify_symmetry
 from .protocol import (
-    PHASE3_TAGS,
+    PHASES,
     NoRuleError,
+    Phase,
     Tag,
     _CACHE_SIZE,
     _CLEAR_HOOKS,
@@ -305,25 +308,28 @@ def _enabled_idle(sim: _Sim):
 class SynchronousScheduler(Scheduler):
     """Fully synchronous rounds: every robot takes its snapshot, then every
     robot fires, in id order.  Both members of a symmetric pair always move
-    within the same wave, so symmetric configurations stay symmetric."""
+    within the same wave, so symmetric configurations stay symmetric.
+
+    The wave is read off the pending intents, so a fairness-forced action
+    cannot make it stale: while robot 0 holds an intent, or no robot does,
+    the lowest idle robot is activated; otherwise the lowest pending robot
+    fires."""
 
     name = "synchronous"
 
-    def __init__(self):
-        self._queue: list[SchedulerAction] = []
-
-    def start(self, sim: _Sim):
-        self._queue.clear()
-
     def propose(self, sim: _Sim) -> SchedulerAction:
-        if not self._queue:
-            idle = _idle_robots(sim)
-            if len(idle) == sim.k:
-                self._queue = [SchedulerAction("activate", r) for r in range(sim.k)]
-                self._queue += [SchedulerAction("fire", r) for r in range(sim.k)]
-            else:  # resynchronize after an interrupted wave
-                self._queue = [SchedulerAction("fire", r) for r in _pending_robots(sim)]
-        return self._queue.pop(0)
+        # scans by truth value (an intent is always true): comparing with
+        # None would call the dataclass's __eq__ on every intent
+        pending, robots = sim.pending, range(sim.k)
+        if pending[0] is None:
+            robot = next(compress(robots, pending), None)  # lowest pending
+            if robot is None:
+                return SchedulerAction("activate", 0)
+            return SchedulerAction("fire", robot)
+        robot = next(compress(robots, map(not_, pending)), None)  # lowest idle
+        if robot is None:
+            return SchedulerAction("fire", 0)
+        return SchedulerAction("activate", robot)
 
     def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
         # Keep symmetric snapshots symmetric: walk toward the axis node, a
@@ -441,7 +447,7 @@ def validate_initial(cfg: RingConfig, relaxed: bool = False) -> None:
     tower and all.  With `relaxed`, a start must also have a protocol
     state."""
     tag = classify_protocol_state(cfg).tag
-    if tag is not Tag.GATHERED and tag not in PHASE3_TAGS:
+    if PHASES.get(tag) not in (Phase.PHASE3, Phase.DONE):
         if not cfg.towerless:
             raise InvalidStartError("initial configuration has a tower")
         if classify_symmetry(cfg).periodic:
@@ -461,15 +467,18 @@ def run(
     """Drive a full execution until gathered, stuck, or the step limit.
 
     The scheduler proposes actions; whenever a robot is close to exceeding
-    the fairness bound since its last completed cycle, a forced action on
-    the most starved robot replaces the proposal.  A run is stuck when a
-    robot with no rule is activated, or when after a move no robot can
-    move again: every robot's decision is Stay and no pending intent has a
-    target.
+    the fairness bound (4k by default, at least 2k) since its last
+    completed cycle, a forced action on the most starved robot replaces
+    the proposal.  A run is stuck when a robot with no rule is activated,
+    or when after a move no robot can move again: every robot's decision
+    is Stay and no pending intent has a target.
     """
     validate_initial(initial, relaxed=relaxed)
     sim = _Sim(initial)
     bound = 4 * sim.k if fairness_bound is None else fairness_bound
+    if bound < 2 * sim.k:
+        # every robot must finish a 2-action cycle within any `bound` actions
+        raise ValueError(f"fairness bound {bound} < 2k = {2 * sim.k}: no run can honour it")
     seed = getattr(scheduler, "seed", None)
     trace = Trace(
         n=initial.n,

@@ -31,7 +31,6 @@ from ring_gather import checker, check_all_paths_gather, protocol
 from ring_gather.checker import (
     TRACE_CHECKS,
     _successors,
-    _xstate,
     check_local_global_consistency,
 )
 
@@ -466,11 +465,11 @@ class TestProvenTable:
 
 class TestExplore:
     def test_depth_one_from_terminal(self):
-        succ = _successors(TERMINAL_15.n, _xstate(TERMINAL_15))
+        succ = _successors(TERMINAL_15.n, (TERMINAL_15.occ, ()))
         # exactly the two activations of the enabled pair
         assert [label[0] for label, _ in succ] == ["activate", "activate"]
         assert len({st for _, st in succ}) == 2
-        assert all(st.occ == TERMINAL_15.occ for _, st in succ)
+        assert all(occ == TERMINAL_15.occ for _, (occ, _pending) in succ)
 
 
 class TestLemma1:

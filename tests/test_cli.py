@@ -1,6 +1,9 @@
 """Command-line interface: parsing, validation, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -75,6 +78,28 @@ def test_simulate_validates_constraints():
         with pytest.raises(SystemExit) as exc:
             main(["simulate", *argv])
         assert message in str(exc.value)
+
+
+def test_simulate_rejects_fairness_bound_below_2k():
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--occ", TERMINAL, "--fairness-bound", "5"])
+    assert str(exc.value) == "fairness bound 5 < 2k = 20: no run can honour it"
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops early (`| grep -q`) closes the pipe: no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ring_gather.cli", "classify", "--occ", ".....91........"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_simulate_rejects_exhaustive():

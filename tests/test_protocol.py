@@ -24,8 +24,6 @@ from ring_gather import (
 from ring_gather import checker, protocol
 from ring_gather.checker import check_all_paths_gather
 from ring_gather.protocol import (
-    Decision,
-    LocalDecision,
     _even_pattern,
     _odd_pattern,
     clear_caches,
@@ -42,10 +40,6 @@ from test_simulate import DIGEST_SCHEDULES, TRACE_DIGESTS
 
 def cfg_at(n, positions):
     return RingConfig.from_positions(n, positions)
-
-
-def moves_of(cfg):
-    return {m.robot_node: m.targets for m in enabled_moves(cfg)}
 
 
 TERMINAL_15 = cfg_at(15, list(range(5)) + list(range(6, 11)))
@@ -140,14 +134,14 @@ class TestClassification:
 
 class TestEnabledMoves:
     def test_block_borders_move_outward(self):
-        assert moves_of(BLOCK_15) == {0: (14,), 9: (10,)}
+        assert enabled_moves(BLOCK_15) == {0: (14,), 9: (10,)}
 
     def test_terminal_flankers_move_onto_leader_hole(self):
-        assert moves_of(TERMINAL_15) == {4: (5,), 6: (5,)}
+        assert enabled_moves(TERMINAL_15) == {4: (5,), 6: (5,)}
 
     def test_gathered_no_moves(self):
         cfg = RingConfig(15, tuple([10] + [0] * 14))
-        assert enabled_moves(cfg) == frozenset()
+        assert enabled_moves(cfg) == {}
 
     def test_unknown_raises(self):
         with pytest.raises(NoRuleError, match="no rule"):
@@ -158,33 +152,33 @@ class TestEnabledMoves:
         # 4-block (robot 9, three edges from robot 6) moves toward it
         cfg = cfg_at(17, [0, 2, 4, 6, 9, 11, 13])
         assert classify_protocol_state(cfg).tag is Tag.BIG_BLOCK_2
-        assert moves_of(cfg) == {9: (8,)}
+        assert enabled_moves(cfg) == {9: (8,)}
 
     def test_big_block_1_1_farthest_isolated(self):
         cfg = cfg_at(15, [0, 1, 2, 3, 5, 7, 10, 11, 12, 13])
         # isolated 5 is two edges from its block, isolated 7 three edges
-        assert moves_of(cfg) == {7: (8,)}
+        assert enabled_moves(cfg) == {7: (8,)}
 
     def test_big_block_1_2_only_isolated_move(self):
         cfg = cfg_at(15, [0, 1, 2, 3, 4, 6, 8, 9, 11, 12])
-        moves = moves_of(cfg)
+        moves = enabled_moves(cfg)
         assert moves == {6: (5,)}
 
     def test_block_distance_single_block_movers(self):
         cfg = cfg_at(21, range(0, 20, 2))
-        assert moves_of(cfg) == {8: (7,), 10: (11,)}
+        assert enabled_moves(cfg) == {8: (7,), 10: (11,)}
 
     def test_block_distance_two_block_movers(self):
         cfg = cfg_at(23, [0, 2, 4, 6, 8, 12, 14, 16, 18, 20])
-        assert moves_of(cfg) == {8: (7,), 12: (13,)}
+        assert enabled_moves(cfg) == {8: (7,), 12: (13,)}
 
     def test_block_mirror2_movers_toward_guides(self):
         cfg = cfg_at(17, [0, 1, 3, 4, 6, 7, 9, 10, 12, 13])
-        assert moves_of(cfg) == {3: (2,), 10: (11,)}
+        assert enabled_moves(cfg) == {3: (2,), 10: (11,)}
 
     def test_block_mirror1_unique_mover_by_view(self):
         cfg = cfg_at(15, [0, 1, 3, 4, 7, 8, 12, 13])
-        moves = moves_of(cfg)
+        moves = enabled_moves(cfg)
         assert len(moves) == 1
         # candidates: the borders across the two size-1 holes
         candidates = {0: 14, 1: 2, 3: 2, 13: 14}
@@ -197,12 +191,12 @@ class TestEnabledMoves:
     def test_even_t_and_odd_t_movers(self):
         instances = build_phase2_instances(15, 10)
         even_t = instances[Tag.EVEN_T]
-        (mover, targets), = moves_of(even_t).items()
+        (mover, targets), = enabled_moves(even_t).items()
         # the k/2-block border sharing the even hole with the singleton
         assert classify_protocol_state(even_t).roles["movers"] == (mover,)
         odd_t = instances[Tag.ODD_T]
         state = classify_protocol_state(odd_t)
-        (mover2, targets2), = moves_of(odd_t).items()
+        (mover2, targets2), = enabled_moves(odd_t).items()
         assert state.roles["B3"] == (mover2,)
 
     def test_singular_rules_have_one_mover(self):
@@ -220,20 +214,24 @@ class TestEnabledMoves:
         # gets to pick the direction
         cfg = cfg_at(19, [0, 1, 2, 5, 8, 9, 10, 14])
         assert classify_protocol_state(cfg).tag is Tag.BIG_BLOCK_1_2
-        assert moves_of(cfg) == {5: (4, 6)}
+        assert enabled_moves(cfg) == {5: (4, 6)}
         view = compute_view(cfg, 5)
-        assert local_decide(view).kind is LocalDecision.MOVE_EITHER
+        assert local_decide(view) == (18, 1)
         assert decide_targets(cfg, 5) == (4, 6)
 
     def test_determinism(self):
         for cfg in (TERMINAL_15, BLOCK_15, target_15()):
             assert enabled_moves(cfg) == enabled_moves(cfg)
 
+    def test_returns_a_fresh_dict(self):
+        enabled_moves(BLOCK_15).clear()
+        assert enabled_moves(BLOCK_15) == {0: (14,), 9: (10,)}
+
     def test_tower_robots_never_move(self):
         for cfg in (target_15(),):
             towers = set(cfg.towers)
-            for m in enabled_moves(cfg):
-                assert m.robot_node not in towers
+            for node in enabled_moves(cfg):
+                assert node not in towers
 
     def test_moves_say_who_may_move(self):
         # every occupancy of odd n <= 11, towerless and with a height-2 tower
@@ -264,7 +262,7 @@ class TestSymmetricPairProperty:
             tag = classify_protocol_state(cfg).tag
             if tag is Tag.UNKNOWN:
                 continue
-            moves = moves_of(cfg)
+            moves = enabled_moves(cfg)
             c = (2 * info.axis_node) % cfg.n
             mirror = lambda v: (c - v) % cfg.n
             for v, targets in moves.items():
@@ -291,19 +289,20 @@ class TestSymmetricPairProperty:
 class TestLocalDecide:
     def test_block_border_moves(self):
         view = compute_view(BLOCK_15, 0)
-        decision = local_decide(view)
-        assert decision.kind is LocalDecision.MOVE
+        # robot 0 reads its gaps toward node 14, one step along its view
+        assert view.dists[0] == 6
+        assert local_decide(view) == 1
         assert decide_targets(BLOCK_15, 0) == 14
 
     def test_block_interior_stays(self):
-        assert local_decide(compute_view(BLOCK_15, 5)).kind is LocalDecision.STAY
+        assert local_decide(compute_view(BLOCK_15, 5)) is None
         assert decide_targets(BLOCK_15, 5) is None
 
     def test_tower_robot_stays(self):
         cfg = target_15()
         view = compute_view(cfg, 5)
         assert view.tower_here
-        assert local_decide(view).kind is LocalDecision.STAY
+        assert local_decide(view) is None
 
     def test_unknown_reconstruction_raises(self):
         cfg = cfg_at(15, [0, 3, 6, 9, 12])  # periodic pattern
@@ -315,7 +314,7 @@ class TestLocalDecide:
         samples += list(build_phase2_instances(15, 10).values())
         samples += list(build_phase2_instances(21, 10).values())
         for cfg in samples:
-            expected = moves_of(cfg)
+            expected = enabled_moves(cfg)
             for node in cfg.occupied:
                 got = decide_targets(cfg, node)
                 got = (
@@ -329,9 +328,11 @@ class TestLocalDecide:
 
 def _engine_decision(view):
     """Reference: the decision read straight from the rule engine on the
-    robot's own reconstruction, observer on node 0, forward = +1."""
+    robot's own reconstruction, observer on node 0, reading direction +1:
+    None to stay, 1 or n - 1 for one step along or against it, (n - 1, 1)
+    when the scheduler picks."""
     if view.tower_here or len(view.dists) == 1:
-        return Decision.stay()
+        return None
     pattern = reconstruct_from_view(view)
     n = pattern.n
     if len(view.dists) % 2 == 0:
@@ -344,11 +345,11 @@ def _engine_decision(view):
         return NoRuleError
     mine = set(moves.get(0, ()))
     if not mine:
-        return Decision.stay()
+        return None
     if mine == {1, n - 1}:
-        return Decision.either()
+        return (n - 1, 1)
     assert mine in ({1}, {n - 1}), mine
-    return Decision.move(forward=mine == {1})
+    return mine.pop()
 
 
 def _outcome(decide, occ, node):
@@ -414,7 +415,7 @@ class TestDecisionTable:
                 tower_view = View(view.dists, True)
                 if n % 2:
                     assert _local_decision(view) == _engine_decision(view), view
-                    assert _local_decision(tower_view) == Decision.stay(), view
+                    assert _local_decision(tower_view) is None, view
                 elif len(view.dists) > 1:
                     assert _local_decision(view) is NoRuleError, view
                     assert _local_decision(tower_view) is NoRuleError, view

@@ -173,18 +173,20 @@ class TestInterDistance:
 
 class TestDecomposition:
     def test_spec_example_mixed(self):
-        dec = decompose_blocks(cfg_at(7, [0, 1, 2, 4]))
+        cfg = cfg_at(7, [0, 1, 2, 4])
+        dec = decompose_blocks(cfg)
         assert dec.d == 1
         assert [(b.start, b.size) for b in dec.blocks] == [(0, 3)]
         assert dec.isolated == (4,)
-        assert sorted((h.start, h.size) for h in dec.holes) == [(3, 1), (5, 2)]
+        assert sorted((h.start, h.size) for h in holes(cfg)) == [(3, 1), (5, 2)]
 
     def test_single_run(self):
-        dec = decompose_blocks(cfg_at(15, range(10)))
+        cfg = cfg_at(15, range(10))
+        dec = decompose_blocks(cfg)
         assert dec.d == 1
         assert [(b.start, b.size) for b in dec.blocks] == [(0, 10)]
         assert dec.isolated == ()
-        assert [(h.start, h.size) for h in dec.holes] == [(10, 5)]
+        assert [(h.start, h.size) for h in holes(cfg)] == [(10, 5)]
 
     def test_spacing_two_blocks(self):
         dec = decompose_blocks(cfg_at(15, [0, 2, 4, 8, 10]))

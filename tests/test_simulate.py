@@ -266,14 +266,28 @@ class TestSchedulers:
         assert t1.to_jsonl() != t2.to_jsonl()
 
     def test_fairness_bound_honoured(self):
-        bound = 40
-        trace = run(BLOCK_15, builtin_scheduler("lazy", 1), fairness_bound=bound)
-        last_fire = {}
-        for ev in trace.events:
-            if ev.kind == "fire":
-                gap = ev.step - last_fire.get(ev.robot, 0)
-                assert gap <= bound, (ev.robot, gap)
-                last_fire[ev.robot] = ev.step
+        # the default 4k, and 2k, 3k and 3k + 5, under every scheduler; at
+        # 3k to 4k - 1 a forced action interrupts a synchronous wave, which
+        # must then fire no robot with nothing pending
+        for start in (BLOCK_15, TERMINAL_15):
+            k = start.k
+            for name in ("synchronous", "random", "lazy"):
+                for bound in (4 * k, 2 * k, 3 * k, 3 * k + 5):
+                    trace = run(start, builtin_scheduler(name, 1), fairness_bound=bound)
+                    last_fire = {}
+                    for ev in trace.events:
+                        if ev.kind == "fire":
+                            gap = ev.step - last_fire.get(ev.robot, 0)
+                            assert gap <= bound, (start.to_string(), name, bound, ev.robot, gap)
+                            last_fire[ev.robot] = ev.step
+
+    def test_fairness_bound_below_2k_rejected(self):
+        # a cycle is two actions, so no run lets k robots each finish one
+        # within fewer than 2k
+        with pytest.raises(ValueError, match="fairness bound 19 < 2k = 20"):
+            run(BLOCK_15, builtin_scheduler("random", 1), fairness_bound=19)
+        trace = run(BLOCK_15, builtin_scheduler("random", 1), fairness_bound=20)
+        assert trace.fairness_bound == 20 and trace.outcome == "Gathered"
 
 
 class TestAnonymity:
