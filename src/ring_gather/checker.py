@@ -125,7 +125,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     occ = list(parse_occupancy(trace.initial))
     occ_t = tuple(occ)
     canon = _canon_of(occ_t)
-    pending: dict[int, tuple[int, object]] = {}  # robot -> (node, target)
+    pending: dict[int, tuple[int, object]] = {}  # robot -> (node, targets or _NO_RULE)
     incorrect, recount = 0, False
     tower = periodic = outdated = monotonic = replay = None
     reached_p3 = False
@@ -175,9 +175,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 node, target = entry
                 if not 0 <= dst < n:
                     mismatch = "fire to a node off the ring"
-                elif node != src or dst not in (
-                    target if isinstance(target, tuple) else (target,)
-                ):
+                elif node != src or target is _NO_RULE or dst not in target:
                     mismatch = "fired move differs from intent"
                 elif not occ[src]:
                     mismatch = "fire from an empty node"
@@ -186,7 +184,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                     occ[dst] += 1
                     occ_t = tuple(occ)
                     canon = _canon_of(occ_t)
-            elif entry[1] is not None:
+            elif entry[1]:
                 mismatch = "intent to move fired as stay"
         else:
             mismatch = f"unknown event kind {kind!r}"
@@ -273,15 +271,8 @@ def check_local_global_consistency(trace: Trace) -> Verdict:
         for node, local in enumerate(_decisions(occ)):
             if local is _EMPTY:
                 continue
-            targets = a.moves.get(node)
-            want = None if targets is None else frozenset(targets)
-            if isinstance(local, int):
-                got = frozenset((local,))
-            elif isinstance(local, tuple):
-                got = frozenset(local)
-            else:  # None to stay, or _NO_RULE
-                got = local
-            if got != want:
+            want = a.moves.get(node, ())
+            if local != want:
                 return Verdict.fail(
                     step, f"robot at {node}: local {local!r} vs global {want!r}", occ_s
                 )
@@ -492,7 +483,7 @@ def check_phase2_transitions(type_instances) -> Verdict:
             if tag is Tag.GATHERED:
                 continue
             return Verdict.fail(None, f"no transition spec for {tag.value}", cfg.to_string())
-        verdict = _check_one_transition(cfg, tag, spec, spec.depth)
+        verdict = _check_one_transition(cfg, tag, spec)
         if not verdict.passed:
             return verdict
     return Verdict.ok()
@@ -512,8 +503,8 @@ def _arrival_ok(tag: Tag, start_cfg: RingConfig, arrival: RingConfig) -> str | N
     return None
 
 
-def _check_one_transition(cfg, tag, spec, depth) -> Verdict:
-    n = cfg.n
+def _check_one_transition(cfg, tag, spec) -> Verdict:
+    n, depth = cfg.n, spec.depth
 
     def judge(state: tuple, used: int) -> Verdict | None:
         occ = state[0]

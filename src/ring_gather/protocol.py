@@ -698,13 +698,11 @@ def _odd_pattern(cfg: RingConfig):
     """Movement rules for patterns with an odd number of occupied nodes.
     These arise only after the Phase-3 tower hides one robot.  Returns
     (shape, moves, roles) with shape in {"single", "absorb", "skew3",
-    "skew21", "gathered", None}."""
+    "skew21", None}."""
     n = cfg.n
     runs = occupied_runs(cfg)
     m = len(runs)
     w = sum(size for _, size in runs)
-    if w == 1:
-        return "gathered", {}, {}
     gaps = _holes_after(runs, n)
 
     if m == 1:
@@ -900,9 +898,9 @@ def local_decide(view: View):
     The view's pattern is rebuilt with the robot on node 0 (a tower there
     if the view shows one) and its reading direction along +1, and the
     robot's entry of that pattern's decision table (see `_decisions`) is
-    returned, relative to that direction: None to stay, 1 for one step
-    along the reading direction, n - 1 for one step against it, or
-    ``(n - 1, 1)`` when the scheduler picks the direction.
+    returned, relative to that direction: ``()`` to stay, ``(1,)`` for one
+    step along the reading direction, ``(n - 1,)`` for one step against it,
+    or ``(1, n - 1)`` when the scheduler picks the direction.
     """
     occ = reconstruct_from_view(view).occ
     return _decide((2,) + occ[1:] if view.tower_here else occ, 0)
@@ -910,8 +908,8 @@ def local_decide(view: View):
 
 def decide_targets(cfg: RingConfig, node: int):
     """Concrete destination nodes for the robot on ``node``, derived through
-    its view exactly as the robot itself would: None to stay, a node, or a
-    pair of nodes when the scheduler picks the direction."""
+    its view exactly as the robot itself would, ascending: ``()`` to stay,
+    one node, or two when the scheduler picks the direction."""
     return _decide(cfg.occ, node % cfg.n)
 
 
@@ -932,9 +930,10 @@ def _decide(occ: tuple[int, ...], node: int):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _decisions(occ: tuple[int, ...]) -> tuple:
-    """Every robot's decision on ``occ``, by node: None to stay, a target
-    node, an either-way pair ``(node - 1, node + 1)``, `_NO_RULE`, or
-    `_EMPTY` on an empty node.
+    """Every robot's decision on ``occ``, by node: its target nodes,
+    ascending, as in `Analysis.moves` (``()`` to stay, ``(t,)``, or
+    ``(node - 1, node + 1)`` sorted when the scheduler picks), `_NO_RULE`,
+    or `_EMPTY` on an empty node.
 
     A robot decides from its view alone: the gap cycle read from its node
     in the direction that reads lexicographically larger (clockwise on a
@@ -957,7 +956,7 @@ def _decisions(occ: tuple[int, ...]) -> tuple:
     w = len(nodes)
     table = [_EMPTY] * n
     if w == 1:
-        table[nodes[0]] = None
+        table[nodes[0]] = ()
         return tuple(table)
     if n % 2 == 0:
         return tuple(_NO_RULE if c else _EMPTY for c in occ)
@@ -972,7 +971,7 @@ def _decisions(occ: tuple[int, ...]) -> tuple:
               -1: [s for s in range(w) if ccw[s] == key]}
     for i, node in enumerate(nodes):
         if occ[node] >= 2:
-            table[node] = None
+            table[node] = ()
             continue
         if moves is None:
             table[node] = _NO_RULE
@@ -982,15 +981,10 @@ def _decisions(occ: tuple[int, ...]) -> tuple:
         e = view_dir if starts[view_dir] else -view_dir
         s = min(starts[e], key=lambda s: (s - i) * e % w)
         here = (node - nodes[s]) * e % n
-        steps = {(t - here) % n for t in moves.get(here, ())}
-        if not steps:
-            table[node] = None
-        elif steps == {1, n - 1}:
-            table[node] = ((node - 1) % n, (node + 1) % n)
-        elif steps == {1}:
-            table[node] = (node + e) % n
-        elif steps == {n - 1}:
-            table[node] = (node - e) % n
-        else:
-            raise AssertionError(f"non-adjacent move target {moves[here]}")
+        targets = moves.get(here, ())
+        if targets:  # most robots stay: skip the mapping for them
+            if any((t - here) % n not in (1, n - 1) for t in targets):
+                raise AssertionError(f"non-adjacent move target {targets}")
+            targets = tuple(sorted((node + e * (t - here)) % n for t in targets))
+        table[node] = targets
     return tuple(table)

@@ -62,8 +62,10 @@ class SchedulerAction(NamedTuple):
 class PendingIntent:
     """A computed but not yet executed move.
 
-    `target` is None for Stay, a node index, or a pair of node indices when
-    the robot's two directions look equally good and the scheduler decides.
+    `target` holds the robot's target nodes, ascending, as its decision
+    (`protocol.decide_targets`) gave them: ``()`` for Stay, one node, or two
+    when the robot's two directions look equally good and the scheduler
+    decides.
     The robot is *outdated* once another robot has moved since its snapshot,
     and has an *incorrect target* when a fresh computation on the current
     configuration would decide differently (see `intent_is_incorrect`).
@@ -72,19 +74,20 @@ class PendingIntent:
     robot: int
     snapshot_step: int
     snapshot_occ: tuple[int, ...]
-    target: int | tuple[int, int] | None
+    target: tuple[int, ...]
 
 
 def intent_is_incorrect(occ: tuple[int, ...], node: int, target) -> bool:
-    """Whether a pending intent of the robot on `node` differs from a fresh
-    decision on the occupancy `occ`.
+    """Whether a pending intent of the robot on `node`, its target tuple
+    (or `protocol._NO_RULE`), differs from a fresh decision on the
+    occupancy `occ`.
 
     A pending Stay is never incorrect: firing it changes nothing and the
     robot then re-observes, so only intents with a target destination can
     be outdated with an incorrect target.  A fresh decision with no
     applicable rule counts as incorrect.
     """
-    if target is None:
+    if not target:
         return False
     try:
         return _decide(occ, node) != target
@@ -144,16 +147,15 @@ class _Sim:
             raise ValueError(f"scheduler contract violation: bad kind {kind!r}")
         if intent is None:
             raise ValueError("scheduler contract violation: nothing to fire")
-        target = intent.target
-        if isinstance(target, tuple):
-            if direction is None or direction not in target:
-                raise ValueError("scheduler contract violation: direction needed")
-            target = direction
+        targets = intent.target
+        if len(targets) > 1 and direction not in targets:
+            raise ValueError("scheduler contract violation: direction needed")
         self.step += 1
         self.pending[robot] = None
         self._complete_move_phase(robot)
-        if target is None:
+        if not targets:
             return node, None
+        target = direction if len(targets) > 1 else targets[0]
         occ = list(self.occ)
         occ[node] -= 1
         occ[target] += 1
@@ -302,7 +304,7 @@ def _enabled_idle(sim: _Sim):
     """Idle robots whose decision is not Stay; a robot with no rule counts,
     so activating it ends the run `Stuck`."""
     table, positions = _decisions(sim.occ), sim.positions
-    return [r for r in _idle_robots(sim) if table[positions[r]] is not None]
+    return [r for r in _idle_robots(sim) if table[positions[r]]]
 
 
 class SynchronousScheduler(Scheduler):
@@ -333,23 +335,16 @@ class SynchronousScheduler(Scheduler):
 
     def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
         # Keep symmetric snapshots symmetric: walk toward the axis node, a
-        # direction the axis reflection maps to the partner's mirror choice.
-        a, b = intent.target
-        node = sim.positions[intent.robot]
-        info = classify_symmetry(RingConfig(sim.n, intent.snapshot_occ))
+        # direction the axis reflection maps to the partner's mirror choice;
+        # a robot on the axis node steps to node + 1.
+        n, node = sim.n, sim.positions[intent.robot]
+        info = classify_symmetry(RingConfig(n, intent.snapshot_occ))
         if info.symmetric and info.axis_node is not None:
-            da = _walk_distance(node, a, info.axis_node, sim.n)
-            db = _walk_distance(node, b, info.axis_node, sim.n)
-            return a if da < db else b
-        return min(a, b)
-
-
-def _walk_distance(node, first_step_node, goal, n):
-    """Distance from node to goal when forced to leave via first_step_node."""
-    step = (first_step_node - node) % n
-    if step == 1:
-        return (goal - node) % n
-    return (node - goal) % n
+            axis = info.axis_node
+            if (node - axis) % n < (axis - node) % n:
+                return (node - 1) % n
+            return (node + 1) % n
+        return min(intent.target)
 
 
 class _SeededScheduler(Scheduler):
@@ -364,7 +359,7 @@ class _SeededScheduler(Scheduler):
         self._rng = Random(self.seed)
 
     def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
-        return self._rng.choice(sorted(intent.target))
+        return self._rng.choice(intent.target)
 
 
 class RandomFairScheduler(_SeededScheduler):
@@ -512,7 +507,7 @@ def run(
             action = scheduler.propose(sim)
         if action.kind == "fire":
             intent = sim.pending[action.robot]
-            if intent is not None and isinstance(intent.target, tuple):
+            if intent is not None and len(intent.target) > 1:
                 if action.direction is None:
                     action = action._replace(
                         direction=scheduler.choose_direction(sim, intent)
@@ -533,8 +528,8 @@ def run(
         )
         # after a move, no robot can change the configuration again when
         # every occupied node's decision is Stay and no intent has a target
-        if to_node is not None and _decisions(sim.occ).count(None) == sim.width:
-            if not sim.gathered() and all(p is None or p.target is None for p in sim.pending):
+        if to_node is not None and _decisions(sim.occ).count(()) == sim.width:
+            if not sim.gathered() and all(p is None or not p.target for p in sim.pending):
                 trace.outcome = "Stuck"
                 break
     trace.rounds = sim.round

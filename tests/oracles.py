@@ -185,7 +185,7 @@ def per_robot_decision(occ, node):
     if not occ[node]:
         raise ValueError(f"no robot at node {node}")
     if occ[node] >= 2 or sum(1 for c in occ if c) == 1:
-        return None
+        return ()
     cw, ccw = _reading(occ, node, 1), _reading(occ, node, -1)
     dists = max(cw, ccw)
     direction = 1 if cw >= ccw else -1  # the view's reading direction
@@ -198,13 +198,13 @@ def per_robot_decision(occ, node):
         raise NoRuleError("no rule")
     mine = moves.get(rep)
     if not mine:
-        return None
+        return ()
     steps = {(t - rep) % n for t in mine}
     if steps == {1, n - 1}:
-        return ((node - 1) % n, (node + 1) % n)
+        return tuple(sorted(((node - 1) % n, (node + 1) % n)))
     assert steps in ({1}, {n - 1}), mine
     forward = (steps == {1}) != flipped
-    return (node + (direction if forward else -direction)) % n
+    return ((node + (direction if forward else -direction)) % n,)
 
 
 def _reading(occ, node, step):
@@ -264,7 +264,7 @@ class _Replay:
                         self.occ[ev.from_node] -= 1
                         self.occ[ev.to_node] += 1
                         self.moves += 1
-                    elif target is not None:
+                    elif target != ():
                         mismatch = "intent to move fired as stay"
             else:
                 mismatch = f"unknown event kind {ev.kind!r}"

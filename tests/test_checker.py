@@ -246,6 +246,29 @@ class TestReplayRobustness:
         )
         assert replay_trace(trace) == Verdict.fail(4, "fire from an empty node", after)
 
+    @pytest.mark.parametrize(
+        "to_node, description",
+        [(1, "fired move differs from intent"), (None, "intent to move fired as stay")],
+    )
+    def test_fired_intent_without_rule(self, to_node, description):
+        # odd k, outside the protocol, so no run starts here: robot 0 on
+        # node 2 has no rule, though the global rule (BigBlock1_2) moves it,
+        # so its intent matches no fire, to a node or as a stay
+        start = "..1..11"
+        # "...1.11" is the canonical form of ".1...11"
+        after, tag = ("...1.11", "Biblock") if to_node is not None else (start, "BigBlock1_2")
+        trace = make_trace(
+            [
+                TraceEvent(1, "activate", 0, 2, None, start, "BigBlock1_2", 0),
+                TraceEvent(2, "fire", 0, 2, to_node, after, tag, 0),
+            ],
+            initial=start,
+            outcome="Stuck",
+            n=7,
+            k=3,
+        )
+        assert replay_trace(trace) == Verdict.fail(2, description, after)
+
     def test_pending_intent_on_an_emptied_node(self):
         # robot 6 snapshots on node 11; the tampered event puts it on node 12,
         # whose own robot then moves away while robot 6's intent is pending,

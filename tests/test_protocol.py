@@ -216,7 +216,7 @@ class TestEnabledMoves:
         assert classify_protocol_state(cfg).tag is Tag.BIG_BLOCK_1_2
         assert enabled_moves(cfg) == {5: (4, 6)}
         view = compute_view(cfg, 5)
-        assert local_decide(view) == (18, 1)
+        assert local_decide(view) == (1, 18)
         assert decide_targets(cfg, 5) == (4, 6)
 
     def test_determinism(self):
@@ -291,18 +291,18 @@ class TestLocalDecide:
         view = compute_view(BLOCK_15, 0)
         # robot 0 reads its gaps toward node 14, one step along its view
         assert view.dists[0] == 6
-        assert local_decide(view) == 1
-        assert decide_targets(BLOCK_15, 0) == 14
+        assert local_decide(view) == (1,)
+        assert decide_targets(BLOCK_15, 0) == (14,)
 
     def test_block_interior_stays(self):
-        assert local_decide(compute_view(BLOCK_15, 5)) is None
-        assert decide_targets(BLOCK_15, 5) is None
+        assert local_decide(compute_view(BLOCK_15, 5)) == ()
+        assert decide_targets(BLOCK_15, 5) == ()
 
     def test_tower_robot_stays(self):
         cfg = target_15()
         view = compute_view(cfg, 5)
         assert view.tower_here
-        assert local_decide(view) is None
+        assert local_decide(view) == ()
 
     def test_unknown_reconstruction_raises(self):
         cfg = cfg_at(15, [0, 3, 6, 9, 12])  # periodic pattern
@@ -316,23 +316,17 @@ class TestLocalDecide:
         for cfg in samples:
             expected = enabled_moves(cfg)
             for node in cfg.occupied:
-                got = decide_targets(cfg, node)
-                got = (
-                    None
-                    if got is None
-                    else tuple(sorted(got)) if isinstance(got, tuple) else (got,)
-                )
-                want = None if cfg.occ[node] >= 2 else expected.get(node)
-                assert got == want, (cfg.to_string(), node)
+                want = () if cfg.occ[node] >= 2 else expected.get(node, ())
+                assert decide_targets(cfg, node) == want, (cfg.to_string(), node)
 
 
 def _engine_decision(view):
     """Reference: the decision read straight from the rule engine on the
     robot's own reconstruction, observer on node 0, reading direction +1:
-    None to stay, 1 or n - 1 for one step along or against it, (n - 1, 1)
-    when the scheduler picks."""
+    () to stay, (1,) or (n - 1,) for one step along or against it,
+    (1, n - 1) when the scheduler picks."""
     if view.tower_here or len(view.dists) == 1:
-        return None
+        return ()
     pattern = reconstruct_from_view(view)
     n = pattern.n
     if len(view.dists) % 2 == 0:
@@ -345,11 +339,11 @@ def _engine_decision(view):
         return NoRuleError
     mine = set(moves.get(0, ()))
     if not mine:
-        return None
+        return ()
     if mine == {1, n - 1}:
-        return (n - 1, 1)
+        return (1, n - 1)
     assert mine in ({1}, {n - 1}), mine
-    return mine.pop()
+    return (mine.pop(),)
 
 
 def _outcome(decide, occ, node):
@@ -415,7 +409,7 @@ class TestDecisionTable:
                 tower_view = View(view.dists, True)
                 if n % 2:
                     assert _local_decision(view) == _engine_decision(view), view
-                    assert _local_decision(tower_view) is None, view
+                    assert _local_decision(tower_view) == (), view
                 elif len(view.dists) > 1:
                     assert _local_decision(view) is NoRuleError, view
                     assert _local_decision(tower_view) is NoRuleError, view

@@ -12,10 +12,17 @@ from ring_gather import (
     Trace,
     builtin_scheduler,
     classify_protocol_state,
+    classify_symmetry,
     run,
 )
 from ring_gather.protocol import decide_targets
-from ring_gather.simulate import _Sim, intent_is_incorrect, read_trace, write_trace
+from ring_gather.simulate import (
+    PendingIntent,
+    _Sim,
+    intent_is_incorrect,
+    read_trace,
+    write_trace,
+)
 
 
 def cfg_at(n, positions):
@@ -46,13 +53,13 @@ class TestStep:
         sim.apply(SchedulerAction("activate", 0))
         intent = sim.pending[0]
         assert intent is not None
-        assert intent.target == 14
+        assert intent.target == (14,)
         assert tuple(sim.occ) == BLOCK_15.occ
 
     def test_fire_stay_is_noop(self):
         sim = _Sim(BLOCK_15)
         sim.apply(SchedulerAction("activate", 5))
-        assert sim.pending[5].target is None
+        assert sim.pending[5].target == ()
         sim.apply(SchedulerAction("fire", 5))
         assert tuple(sim.occ) == BLOCK_15.occ
         assert sim.pending[5] is None
@@ -93,8 +100,8 @@ class TestStep:
             sim.apply(SchedulerAction(ev.kind, ev.robot, ev.to_node))
         intent = sim.pending[2]
         occ = tuple(sim.occ)
-        assert intent.target is None and sim.positions[2] == 7
-        assert decide_targets(RingConfig(sim.n, sim.occ), 7) == 6
+        assert intent.target == () and sim.positions[2] == 7
+        assert decide_targets(RingConfig(sim.n, sim.occ), 7) == (6,)
         assert intent.snapshot_occ != occ  # outdated
         assert not intent_is_incorrect(occ, 7, intent.target)
 
@@ -239,8 +246,6 @@ class TestSchedulers:
 
     def test_synchronous_preserves_symmetry(self):
         # after every full wave the configuration is symmetric or gathered
-        from ring_gather import classify_symmetry
-
         trace = run(TERMINAL_15, builtin_scheduler("synchronous"))
         k = trace.k
         for i in range(2 * k - 1, len(trace.events), 2 * k):
@@ -248,6 +253,19 @@ class TestSchedulers:
             if len(cfg.occupied) == 1:
                 continue
             assert not classify_symmetry(cfg).rigid, trace.events[i]
+
+    @pytest.mark.parametrize("axis", [0, 14, 7])
+    def test_synchronous_either_way_on_the_axis_node_steps_up(self, axis):
+        # a robot on the axis node, with both neighbours as targets, steps
+        # to node + 1; on node 0 and node n - 1 its ascending target tuple
+        # lists node + 1 first, elsewhere node - 1
+        cfg = cfg_at(15, [(v + axis) % 15 for v in (0, 2, 13, 3, 12, 6, 9)])
+        assert classify_symmetry(cfg).axis_node == axis
+        sim = _Sim(cfg)
+        targets = tuple(sorted(((axis - 1) % 15, (axis + 1) % 15)))
+        intent = PendingIntent(sim.positions.index(axis), 1, cfg.occ, targets)
+        sched = builtin_scheduler("synchronous")
+        assert sched.choose_direction(sim, intent) == (axis + 1) % 15
 
     def test_lazy_reaches_terminal_skew(self):
         trace = run(TERMINAL_15, builtin_scheduler("lazy", 0))
@@ -307,7 +325,7 @@ class TestAnonymity:
                 for r in range(sim.k):
                     intent = sim.pending[r]
                     direction = None
-                    if isinstance(intent.target, tuple):
+                    if len(intent.target) > 1:
                         direction = sched.choose_direction(sim, intent)
                     sim.apply(SchedulerAction("fire", r, direction))
             assert s1.occ == s2.occ
