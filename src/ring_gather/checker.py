@@ -36,7 +36,6 @@ from .protocol import (
     _analyze,
     _decisions,
     classify_protocol_state,
-    enabled_moves,
 )
 from .simulate import (
     Trace,
@@ -294,21 +293,24 @@ def check_local_global_consistency(trace: Trace) -> Verdict:
 # from the rules.
 _PROVEN: set[tuple] = set()
 _CLEAR_HOOKS.append(_PROVEN.clear)
+_MAX_STATES = 200_000  # the most states one search may prove
 
 
 def _successors(n: int, state: tuple):
-    """All (action-label, next-state) pairs under enabled activations and
-    pending fires.  Activating a robot whose decision is Stay never changes
-    any configuration, so those actions are omitted; every reachable
-    configuration sequence is preserved."""
+    """All (action-label, next-state) pairs, activating robots on their own
+    decisions (`_decisions`), as a simulator run does.  Activating a robot
+    whose decision is Stay never changes any configuration, so those
+    actions are omitted.  An idle robot with no rule leaves no successor:
+    activating it ends a run `Stuck`."""
     occ, pending = state
     out = []
-    moves = _analyze(occ).moves
     busy = {node for node, _ in pending}
-    for node in sorted(moves):
-        if node not in busy:
-            entry = (node, moves[node])
-            out.append((("activate", node), (occ, tuple(sorted(pending + (entry,))))))
+    for node, entry in enumerate(_decisions(occ)):
+        if not entry or entry is _EMPTY or node in busy:
+            continue
+        if entry is _NO_RULE:
+            return []
+        out.append((("activate", node), (occ, tuple(sorted(pending + ((node, entry),))))))
     for i, (node, targets) in enumerate(pending):
         rest = pending[:i] + pending[i + 1:]
         for t in targets:
@@ -319,14 +321,13 @@ def _successors(n: int, state: tuple):
     return out
 
 
-def _all_paths(n: int, start: tuple, leaf, dead_end, budget: float = math.inf,
-               max_states: int | None = None) -> Verdict:
+def _all_paths(n: int, start: tuple, leaf, dead_end, budget: float = math.inf) -> Verdict:
     """Depth-first search over every scheduler choice from `start`.
 
     `leaf(state, depth)` judges a state reached after `depth` actions before
     it is expanded: a verdict ends the branch there (a failing one ends the
     search), None expands the state.  A state with no successor fails with
-    `dead_end(state, depth)`; an Unknown state with nothing pending is one.
+    `dead_end(state, depth)` (see `_successors`).
     A state met again on the current branch fails too, since a scheduler
     could repeat that cycle forever; without this check the stack would
     grow without end.
@@ -336,7 +337,7 @@ def _all_paths(n: int, start: tuple, leaf, dead_end, budget: float = math.inf,
     its end, as `check_all_paths_gather` does: such a search also skips the
     states in `_PROVEN` and, when it ends, passing or not, adds the ones it
     proved.  A search fails rather than expand a state once it has proven
-    `max_states` states itself.
+    `_MAX_STATES` states itself.
     """
     memo: dict[tuple, float] = {}
     shared = _PROVEN if budget == math.inf else frozenset()
@@ -356,8 +357,8 @@ def _all_paths(n: int, start: tuple, leaf, dead_end, budget: float = math.inf,
                 "configuration repeated on one branch: a scheduler can cycle forever",
                 RingConfig(n, state[0]).to_string(),
             )
-        if max_states is not None and len(memo) >= max_states:
-            return Verdict.fail(None, f"state budget {max_states} exceeded", None)
+        if len(memo) >= _MAX_STATES:
+            return Verdict.fail(None, f"state budget {_MAX_STATES} exceeded", None)
         succs = _successors(n, state)
         if not succs:
             return dead_end(state, depth)
@@ -394,30 +395,31 @@ def _all_paths(n: int, start: tuple, leaf, dead_end, budget: float = math.inf,
     return verdict
 
 
-def check_all_paths_gather(cfg: RingConfig, max_states: int = 200_000) -> Verdict:
-    """Explore EVERY scheduler choice from `cfg` and demand that each
-    branch ends gathered.  Every explored action moves a robot eventually
-    (stale Stay cycles never change configurations and are omitted).  A
-    branch fails when it reaches a state with no applicable rule or repeats
-    a configuration (a scheduler could cycle forever).
+def check_all_paths_gather(cfg: RingConfig) -> Verdict:
+    """Explore EVERY scheduler choice from `cfg`, robots deciding from their
+    own views as in a simulator run, and demand that each branch ends
+    gathered.  A branch fails, at its depth, on a state where no robot can
+    move or an idle robot has no rule, or on a repeated configuration (a
+    scheduler could cycle forever).  Stale Stay cycles never change
+    configurations and are omitted.  `cfg` needs n odd and k even.
 
     The states a search proves (every branch from them gathers) are kept
     across calls, so searching every start of a grid proves each state
-    once; `protocol.clear_caches()` forgets them.  `max_states` bounds the
-    states this call adds to that table: the search fails when it would
-    expand a state after proving that many.  States proven by an earlier
-    call do not count."""
+    once; `protocol.clear_caches()` forgets them.  A call fails when it
+    would expand a state after proving `_MAX_STATES`; states proven by an
+    earlier call do not count."""
     n = cfg.n
+    validate_params(n, cfg.k, relaxed=True)
 
     def gathered(state: tuple, _depth: int) -> Verdict | None:
         return _PASS if state[0].count(0) == n - 1 else None
 
-    def dead_end(state: tuple, _depth: int) -> Verdict:
+    def dead_end(state: tuple, depth: int) -> Verdict:
         return Verdict.fail(
-            None, "branch ends without gathering", RingConfig(n, state[0]).to_string()
+            depth, "branch ends without gathering", RingConfig(n, state[0]).to_string()
         )
 
-    return _all_paths(n, (cfg.occ, ()), gathered, dead_end, max_states=max_states)
+    return _all_paths(n, (cfg.occ, ()), gathered, dead_end)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +560,13 @@ def _cfg_from_layout(n: int, pieces) -> RingConfig:
 
 
 def _one_move(cfg: RingConfig) -> RingConfig:
-    """Apply the enabled move of the robot on the lowest node to its first
-    target (the scheduler activates a single robot)."""
-    moves = enabled_moves(cfg)
-    if not moves:
-        raise ValueError("no enabled move")
-    node = min(moves)
+    """Move the robot on the lowest node whose decision is a move to its
+    first target (the scheduler activates a single robot)."""
+    table = _decisions(cfg.occ)
+    node = min(v for v, e in enumerate(table) if e and type(e) is tuple)
     occ = list(cfg.occ)
     occ[node] -= 1
-    occ[moves[node][0]] += 1
+    occ[table[node][0]] += 1
     return RingConfig(cfg.n, tuple(occ))
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ring_gather import (
+    InvalidStartError,
     RingConfig,
     Tag,
     Trace,
@@ -372,6 +373,13 @@ def test_verify_report_lists_every_failure():
     for name, entry in report["checks"].items():
         mine = [{k: v for k, v in f.items() if k != "check"} for f in failures if f["check"] == name]
         assert mine[:1] == ([entry["first_counterexample"]] if entry["failed"] else [])
+    # a sampled run is one branch of the census's search from its start
+    census_bad = {
+        cfg.to_string()
+        for cfg in enumerate_initial_configs(15, 10)
+        if not check_all_paths_gather(cfg)
+    }
+    assert {f["initial"] for f in failures} <= census_bad
 
 
 class TestPhase2Transitions:
@@ -406,11 +414,11 @@ class TestAllPathsGather:
         # Some initial classes admit an interleaving whose stale phase-1
         # intent later collides with a legal move; the exhaustive census of
         # those classes is a deterministic property of the rule engine.
-        bad15 = sum(
-            0 if check_all_paths_gather(cfg, max_states=3_000_000).passed else 1
-            for cfg in enumerate_initial_configs(15, 10)
-        )
-        assert bad15 == 12
+        verdicts = [check_all_paths_gather(cfg) for cfg in enumerate_initial_configs(15, 10)]
+        steps = [v.violation.step for v in verdicts if not v.passed]
+        assert len(steps) == 12
+        # each failing branch names the depth of its dead end
+        assert (min(steps), max(steps)) == (31, 58)
 
     @pytest.mark.parametrize(
         "n,k,classes,bad", [(17, 10, 600, 54), (19, 10, 2494, 163), (19, 12, 1368, 196)]
@@ -426,12 +434,43 @@ class TestAllPathsGather:
         assert any(c not in ".1" for c in verdict.violation.occ)
 
     def test_cycle_is_a_failing_verdict(self):
-        # outside the protocol's sizes a scheduler can move robots back and
-        # forth forever; the search reports the repeated configuration
-        verdict = check_all_paths_gather(RingConfig.from_string("..111"))
+        # at n = k + 3, which only --relaxed admits, a scheduler can move
+        # robots back and forth forever; the search reports the repeated
+        # configuration and its depth
+        verdict = check_all_paths_gather(RingConfig.from_string(".1.1.111111"))
         assert not verdict.passed
         assert "repeated" in verdict.violation.description
-        assert RingConfig.from_string(verdict.violation.occ).k == 3
+        assert (verdict.violation.step, verdict.violation.occ) == (10, ".1.1.111111")
+
+    @pytest.mark.parametrize("occ,problem", [("..111", "k even"), ("1" * 10 + "." * 6, "n odd")])
+    def test_start_outside_the_rules_domain_is_rejected(self, occ, problem):
+        with pytest.raises(InvalidStartError, match=problem):
+            check_all_paths_gather(RingConfig.from_string(occ))
+
+    @pytest.mark.parametrize("n,k,judged", [(15, 10, 1105), (17, 10, 3322)])
+    def test_table_matches_global_rule_on_every_expanded_state(self, n, k, judged, monkeypatch):
+        # the census moves robots by their own decisions; wherever the
+        # protocol has a state, those must be the global rule's moves
+        expanded = set()
+
+        def successors(n, state):
+            expanded.add(state[0])
+            return _successors(n, state)
+
+        monkeypatch.setattr(checker, "_successors", successors)
+        protocol.clear_caches()
+        for cfg in enumerate_initial_configs(n, k):
+            check_all_paths_gather(cfg)
+        count = 0
+        for occ in expanded:
+            a = protocol._analyze(occ)
+            if a.tag is Tag.UNKNOWN:
+                continue
+            count += 1
+            table = protocol._decisions(occ)
+            movers = {v: e for v, e in enumerate(table) if e and e is not protocol._EMPTY}
+            assert movers == a.moves, RingConfig(n, occ).to_string()
+        assert count == judged
 
 
 def _fields(verdict):
@@ -439,8 +478,8 @@ def _fields(verdict):
     return (verdict.passed, v and v.step, v and v.description, v and v.occ)
 
 
-# every class at (15, 10), then the cycle outside the protocol's sizes
-PROVEN_STARTS = [*enumerate_initial_configs(15, 10), RingConfig.from_string("..111")]
+# every class at (15, 10), then a cycle at (11, 8)
+PROVEN_STARTS = [*enumerate_initial_configs(15, 10), RingConfig.from_string(".1.1.111111")]
 
 
 @pytest.fixture(scope="module")
@@ -467,13 +506,17 @@ class TestProvenTable:
             assert _fields(check_all_paths_gather(cfg)) == fresh_verdicts[cfg.to_string()]
             assert len(checker._PROVEN) <= checker._CACHE_SIZE
         assert checker._PROVEN
-        assert sum(not v[0] for v in fresh_verdicts.values()) == 12 + 1
+        failing = [v for v in fresh_verdicts.values() if not v[0]]
+        assert len(failing) == 12 + 1
+        assert all(v[1] is not None for v in failing)  # so the steps are compared too
 
     def test_state_budget_counts_only_new_proofs(self, monkeypatch):
         cfg = build_phase2_instances(15, 10)[Tag.TERMINAL]
         protocol.clear_caches()
-        verdict = check_all_paths_gather(cfg, max_states=1)
+        monkeypatch.setattr(checker, "_MAX_STATES", 1)
+        verdict = check_all_paths_gather(cfg)
         assert _fields(verdict) == (False, None, "state budget 1 exceeded", None)
+        monkeypatch.undo()
         assert check_all_paths_gather(cfg)
         expanded = []
 
@@ -482,7 +525,8 @@ class TestProvenTable:
             return _successors(n, state)
 
         monkeypatch.setattr(checker, "_successors", successors)
-        assert check_all_paths_gather(cfg, max_states=1)
+        monkeypatch.setattr(checker, "_MAX_STATES", 1)
+        assert check_all_paths_gather(cfg)
         assert expanded == []
 
 
