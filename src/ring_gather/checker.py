@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from .ring import (
     RingConfig,
     _canonical,
+    _move_one,
     classify_symmetry,
     compute_view,
+    format_occupancy,
     parse_occupancy,
     rotations_fixing,
 )
@@ -121,9 +123,8 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     intent is removed, or a decision finds no rule.
     """
     n = trace.n
-    occ = list(parse_occupancy(trace.initial))
-    occ_t = tuple(occ)
-    canon = _canon_of(occ_t)
+    occ = parse_occupancy(trace.initial)
+    canon = _canon_of(occ)
     pending: dict[int, tuple[int, object]] = {}  # robot -> (node, targets or _NO_RULE)
     incorrect, recount = 0, False
     tower = periodic = outdated = monotonic = replay = None
@@ -159,7 +160,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
             elif not occ[src]:
                 mismatch = "activate from an empty node"
             else:
-                target = _decisions(occ_t)[src]
+                target = _decisions(occ)[src]
                 pending[robot] = (src, target)
                 if target is _NO_RULE:
                     recount = True
@@ -179,10 +180,8 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 elif not occ[src]:
                     mismatch = "fire from an empty node"
                 else:
-                    occ[src] -= 1
-                    occ[dst] += 1
-                    occ_t = tuple(occ)
-                    canon = _canon_of(occ_t)
+                    occ = _move_one(occ, src, dst)
+                    canon = _canon_of(occ)
             elif entry[1]:
                 mismatch = "intent to move fired as stay"
         else:
@@ -200,7 +199,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 if recount:
                     try:
                         incorrect = sum(
-                            intent_is_incorrect(occ_t, node, target)
+                            intent_is_incorrect(occ, node, target)
                             for node, target in pending.values()
                         )
                     except ValueError:  # no view from an empty node
@@ -296,7 +295,7 @@ _CLEAR_HOOKS.append(_PROVEN.clear)
 _MAX_STATES = 200_000  # the most states one search may prove
 
 
-def _successors(n: int, state: tuple):
+def _successors(state: tuple):
     """All (action-label, next-state) pairs, activating robots on their own
     decisions (`_decisions`), as a simulator run does.  Activating a robot
     whose decision is Stay never changes any configuration, so those
@@ -314,14 +313,11 @@ def _successors(n: int, state: tuple):
     for i, (node, targets) in enumerate(pending):
         rest = pending[:i] + pending[i + 1:]
         for t in targets:
-            nxt = list(occ)
-            nxt[node] -= 1
-            nxt[t] += 1
-            out.append((("fire", node, t), (tuple(nxt), rest)))
+            out.append((("fire", node, t), (_move_one(occ, node, t), rest)))
     return out
 
 
-def _all_paths(n: int, start: tuple, leaf, dead_end, budget: float = math.inf) -> Verdict:
+def _all_paths(start: tuple, leaf, dead_end, budget: float = math.inf) -> Verdict:
     """Depth-first search over every scheduler choice from `start`.
 
     `leaf(state, depth)` judges a state reached after `depth` actions before
@@ -355,11 +351,11 @@ def _all_paths(n: int, start: tuple, leaf, dead_end, budget: float = math.inf) -
             return Verdict.fail(
                 depth,
                 "configuration repeated on one branch: a scheduler can cycle forever",
-                RingConfig(n, state[0]).to_string(),
+                format_occupancy(state[0]),
             )
         if len(memo) >= _MAX_STATES:
             return Verdict.fail(None, f"state budget {_MAX_STATES} exceeded", None)
-        succs = _successors(n, state)
+        succs = _successors(state)
         if not succs:
             return dead_end(state, depth)
         on_path.add(state)
@@ -415,11 +411,9 @@ def check_all_paths_gather(cfg: RingConfig) -> Verdict:
         return _PASS if state[0].count(0) == n - 1 else None
 
     def dead_end(state: tuple, depth: int) -> Verdict:
-        return Verdict.fail(
-            depth, "branch ends without gathering", RingConfig(n, state[0]).to_string()
-        )
+        return Verdict.fail(depth, "branch ends without gathering", format_occupancy(state[0]))
 
-    return _all_paths(n, (cfg.occ, ()), gathered, dead_end)
+    return _all_paths((cfg.occ, ()), gathered, dead_end)
 
 
 # ---------------------------------------------------------------------------
@@ -521,22 +515,20 @@ def _check_one_transition(cfg, tag, spec) -> Verdict:
             return Verdict.fail(
                 used,
                 f"{tag.value}: reached {st_tag.value}, outside allowed set",
-                RingConfig(n, occ).to_string(),
+                format_occupancy(occ),
             )
         if used == depth:
             return Verdict.fail(
                 used,
                 f"{tag.value}: target set not reached within {depth} actions",
-                RingConfig(n, occ).to_string(),
+                format_occupancy(occ),
             )
         return None
 
     def dead_end(state: tuple, used: int) -> Verdict:
-        return Verdict.fail(
-            used, f"{tag.value}: dead end", RingConfig(n, state[0]).to_string()
-        )
+        return Verdict.fail(used, f"{tag.value}: dead end", format_occupancy(state[0]))
 
-    return _all_paths(n, (cfg.occ, ()), judge, dead_end, budget=depth)
+    return _all_paths((cfg.occ, ()), judge, dead_end, budget=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +556,7 @@ def _one_move(cfg: RingConfig) -> RingConfig:
     first target (the scheduler activates a single robot)."""
     table = _decisions(cfg.occ)
     node = min(v for v, e in enumerate(table) if e and type(e) is tuple)
-    occ = list(cfg.occ)
-    occ[node] -= 1
-    occ[table[node][0]] += 1
-    return RingConfig(cfg.n, tuple(occ))
+    return RingConfig(cfg.n, _move_one(cfg.occ, node, table[node][0]))
 
 
 def build_phase2_instances(n: int, k: int) -> dict[Tag, RingConfig]:

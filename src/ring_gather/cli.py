@@ -18,7 +18,7 @@ import os
 import sys
 
 from .ring import RingConfig, canonical_form, classify_symmetry
-from .protocol import Tag, classify_protocol_state, enabled_moves
+from .protocol import classify_protocol_state
 from .simulate import (
     InvalidStartError,
     builtin_scheduler,
@@ -133,9 +133,8 @@ def cmd_classify(args) -> int:
     print(f"canonical={canonical_form(cfg)}")
     for key, value in sorted(state.roles.items()):
         print(f"role {key}={value}")
-    if state.tag not in (Tag.UNKNOWN, Tag.GATHERED):
-        for node, targets in sorted(enabled_moves(cfg).items()):
-            print(f"move {node} -> {list(targets)}")
+    for node, targets in sorted(state.moves.items()):
+        print(f"move {node} -> {list(targets)}")
     return 0
 
 

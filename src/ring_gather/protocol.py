@@ -24,9 +24,11 @@ configuration of the protocol shows an even number; the rule engine
 dispatches on that parity, which is exactly what makes the rules locally
 computable.
 
-`classify_protocol_state` names the configuration, `enabled_moves` lists
-who may move where, and `local_decide` makes the same decision from a
-single robot's view.
+Every rule answers with one record, `ProtocolState`: the configuration's
+tag, its moves (who may move where) and the roles the rule names.
+`classify_protocol_state` returns that record, `enabled_moves` its moves
+alone, and `local_decide` makes the same decision from a single robot's
+view.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .ring import (
     Hole,
     RingConfig,
     View,
+    _move_one,
     classify_symmetry,
     compute_view,
     decompose_blocks,
@@ -112,20 +115,30 @@ PHASES: dict[Tag, Phase] = {
 
 @dataclass(frozen=True)
 class ProtocolState:
-    """Classification result: the tag plus the named roles the rules refer
-    to.  Role keys used, when applicable: "H" (leader hole), "slave"
-    (slave hole), "guides" (guide block node tuples), "biggest" (biggest
-    d.block node tuples), "B1"/"B2"/"B3" (run node tuples), "S1"/"S2"/
-    "L1"/"L2" (SplitA runs), "leader_blocks"/"slave_blocks" (SplitS),
-    "r1" (the advanced robot of TerminalSkew), "tower" (tower node).
-    Every tag but Gathered and Unknown also has "movers": the nodes of the
-    robots that may move, ascending, read off `Analysis.moves`."""
+    """A rule's answer for one configuration: its tag, its moves and the
+    named roles the rule refers to.
+
+    `moves` maps each robot that may move to its target nodes, ascending;
+    two targets mean the scheduler picks the direction.  It is the only
+    statement of who may move: it never names a tower robot's node, and it
+    is empty for Gathered and Unknown.
+
+    Role keys used, when applicable: "H" (leader hole), "slave" (slave
+    hole), "guides" (guide block node tuples), "biggest" (biggest d.block
+    node tuples), "B1"/"B2"/"B3" (run node tuples), "S1"/"S2"/"L1"/"L2"
+    (SplitA runs), "leader_blocks"/"slave_blocks" (SplitS), "r1" (the
+    advanced robot of TerminalSkew), "center" (the node the Phase-3 rules
+    gather on), "tower" (tower node).  In what `classify_protocol_state`
+    returns, every tag but Gathered and Unknown also has "movers": the
+    nodes of `moves`, ascending."""
 
     tag: Tag
+    moves: dict
     roles: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "roles", dict(self.roles))
+
+# the answer wherever no rule applies
+_UNKNOWN = ProtocolState(Tag.UNKNOWN, {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +187,8 @@ def clear_caches() -> None:
         clear()
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """A configuration's tag, its moves (node -> target nodes) and the roles
-    its rule names.  `moves` is the only statement of who may move: it
-    never names a tower robot's node, it is empty for Gathered and Unknown,
-    and every target tuple is ascending."""
-
-    tag: Tag
-    moves: dict
-    roles: dict
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def _analyze(occ: tuple[int, ...]) -> Analysis:
+def _analyze(occ: tuple[int, ...]) -> ProtocolState:
     return _classify(RingConfig(len(occ), occ))
 
 
@@ -196,7 +197,7 @@ def _analyze(occ: tuple[int, ...]) -> Analysis:
 # ---------------------------------------------------------------------------
 
 
-def _even_pattern(cfg: RingConfig) -> Analysis:
+def _even_pattern(cfg: RingConfig) -> ProtocolState:
     """Rules for a towerless-looking pattern with an even number of occupied
     nodes, treated as a full configuration of k = width robots."""
     n = cfg.n
@@ -207,7 +208,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
     gaps = _holes_after(runs, n)
     sym = classify_symmetry(cfg)
     if sym.periodic:
-        return Analysis(Tag.UNKNOWN, {}, {})
+        return _UNKNOWN
 
     # Terminal: two 1.blocks of size w/2 facing across a single empty node.
     if m == 2 and sizes[0] == sizes[1] and sym.symmetric and sym.leader_hole:
@@ -218,7 +219,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
             b = (hole_node + 1) % n
             moves = {a: (hole_node,), b: (hole_node,)}
             roles = {"H": lead, "slave": sym.slave_hole}
-            return Analysis(Tag.TERMINAL, moves, roles)
+            return ProtocolState(Tag.TERMINAL, moves, roles)
 
     # TerminalSkew: two 1.blocks at distance 2 whose sizes differ by two.
     # The trailing border of the larger block steps onto its own leading
@@ -240,7 +241,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                 "B2": _run_nodes(runs[1 - big_i], n),
                 "r1": r1,
             }
-            return Analysis(Tag.TERMINAL_SKEW, {mover: (r1,)}, roles)
+            return ProtocolState(Tag.TERMINAL_SKEW, {mover: (r1,)}, roles)
 
     # A lone adjacent pair is the degenerate tail of the tower merge (the
     # TerminalSkew shape with an empty small block): each end targets the
@@ -248,13 +249,13 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
     if m == 1 and sizes[0] == 2:
         start, size = runs[0]
         end = (start + 1) % n
-        return Analysis(Tag.TERMINAL_SKEW, {start: (end,), end: (start,)}, {})
+        return ProtocolState(Tag.TERMINAL_SKEW, {start: (end,), end: (start,)}, {})
 
     # Block: a single 1.block of size k; both borders step outward.
     if m == 1:
         start, size = runs[0]
         end = _run_end(runs[0], n)
-        return Analysis(Tag.BLOCK, {start: ((start - 1) % n,), end: ((end + 1) % n,)}, {})
+        return ProtocolState(Tag.BLOCK, {start: ((start - 1) % n,), end: ((end + 1) % n,)}, {})
 
     # Biblock: 1.blocks of sizes k-1 and 1 at distance 2; the far border of
     # the big block steps outward.
@@ -269,7 +270,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
             mover = _run_end(big, n)
             target = (mover + 1) % n
         roles = {"B1": _run_nodes(big, n), "B2": _run_nodes(runs[1 - big_i], n)}
-        return Analysis(Tag.BIBLOCK, {mover: (target,)}, roles)
+        return ProtocolState(Tag.BIBLOCK, {mover: (target,)}, roles)
 
     # Start: two 1.blocks of size k/2 not at distance 2; the borders next to
     # the leader hole step into it.
@@ -278,7 +279,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
         a = (lead.start - 1) % n
         b = (lead.start + lead.size) % n
         moves = {a: (lead.start,), b: ((lead.start + lead.size - 1) % n,)}
-        return Analysis(Tag.START, moves, {"H": lead, "slave": sym.slave_hole})
+        return ProtocolState(Tag.START, moves, {"H": lead, "slave": sym.slave_hole})
 
     # EvenT / OddT: 1.blocks of sizes k/2, k/2-1 and 1 with the singleton at
     # distance 2 from the (k/2-1)-block; the parity of the hole between the
@@ -300,10 +301,10 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                 # EvenT: the k/2 border sharing the even hole with the
                 # singleton steps out of its block toward the singleton.
                 mover, target = _border_toward(runs[half_i], one_i, half_i, gaps, n)
-                return Analysis(Tag.EVEN_T, {mover: (target,)}, roles)
+                return ProtocolState(Tag.EVEN_T, {mover: (target,)}, roles)
             # OddT: the singleton joins the (k/2-1)-block.
             target = _step_toward(runs, gaps, one_i, mid_i, n)
-            return Analysis(Tag.ODD_T, {iso: (target,)}, roles)
+            return ProtocolState(Tag.ODD_T, {iso: (target,)}, roles)
 
     # TriBlockS: middle 1.block crossed by the axis edge, one empty node on
     # each side; its borders step outward, joining the side blocks.
@@ -319,7 +320,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                 end = _run_end(runs[mid_i], n)
                 moves = {start: ((start - 1) % n,), end: ((end + 1) % n,)}
                 roles = {"B1": _run_nodes(runs[mid_i], n), "H": sym.leader_hole}
-                return Analysis(Tag.TRI_BLOCK_S, moves, roles)
+                return ProtocolState(Tag.TRI_BLOCK_S, moves, roles)
 
     # TriBlockA: one 1.block at distance 2 from both others, whose sizes
     # differ by one; the border of the middle block facing the smaller side
@@ -341,7 +342,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                     "B2": _run_nodes(runs[big_i], n),
                     "B3": _run_nodes(runs[small_i], n),
                 }
-                return Analysis(Tag.TRI_BLOCK_A, {mover: (target,)}, roles)
+                return ProtocolState(Tag.TRI_BLOCK_A, {mover: (target,)}, roles)
 
     # SplitS: four 1.blocks, mirror pairs at distance 2 on each side of the
     # axis; the slave-block borders step across toward the leader blocks.
@@ -379,7 +380,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                 "leader_blocks": tuple(_run_nodes(r, n) for r in leader_blocks),
                 "slave_blocks": tuple(_run_nodes(r, n) for r in slave_blocks),
             }
-            return Analysis(Tag.SPLIT_S, moves, roles)
+            return ProtocolState(Tag.SPLIT_S, moves, roles)
 
     # SplitA: the asymmetric sibling of SplitS, one slave move ahead of the
     # other; the border of the larger even-hole block steps toward its
@@ -407,7 +408,7 @@ def _even_pattern(cfg: RingConfig) -> Analysis:
                         "L1": _run_nodes(runs[l1], n),
                         "L2": _run_nodes(runs[l2], n),
                     }
-                    return Analysis(Tag.SPLIT_A, {mover: (target,)}, roles)
+                    return ProtocolState(Tag.SPLIT_A, {mover: (target,)}, roles)
 
     return _phase1_pattern(cfg, sym)
 
@@ -448,7 +449,7 @@ def _step_toward(runs, gaps, from_i, to_i, n):
 # ---------------------------------------------------------------------------
 
 
-def _phase1_pattern(cfg: RingConfig, sym) -> Analysis:
+def _phase1_pattern(cfg: RingConfig, sym) -> ProtocolState:
     n = cfg.n
     dec = decompose_blocks(cfg)
     d = dec.d
@@ -467,18 +468,18 @@ def _phase1_pattern(cfg: RingConfig, sym) -> Analysis:
                 b = (lead.start + lead.size) % n
                 moves = {a: ((a - 1) % n,), b: ((b + 1) % n,)}
                 roles = {"H": lead, "blocks": tuple(b_.nodes(n) for b_ in blocks)}
-                return Analysis(Tag.BLOCK_DISTANCE, moves, roles)
-            return Analysis(Tag.UNKNOWN, {}, {})
+                return ProtocolState(Tag.BLOCK_DISTANCE, moves, roles)
+            return _UNKNOWN
         if len(blocks) > 2:
             if sym.symmetric:
                 return _block_mirror2(cfg, sym, dec)
             return _block_mirror1(cfg, dec)
-        return Analysis(Tag.UNKNOWN, {}, {})
+        return _UNKNOWN
 
     return _big_block(cfg, sym, dec)
 
 
-def _block_mirror1(cfg: RingConfig, dec) -> Analysis:
+def _block_mirror1(cfg: RingConfig, dec) -> ProtocolState:
     # Asymmetric, all d.blocks the same size: among the robots closest to a
     # neighbouring d.block, the one with the biggest view steps toward it.
     n = cfg.n
@@ -489,17 +490,17 @@ def _block_mirror1(cfg: RingConfig, dec) -> Analysis:
         if v in movers:
             moves[v] = tuple(sorted((v + s) % n for s in dirs))
     roles = {"blocks": tuple(b.nodes(n) for b in dec.blocks)}
-    return Analysis(Tag.BLOCK_MIRROR_1, moves, roles)
+    return ProtocolState(Tag.BLOCK_MIRROR_1, moves, roles)
 
 
-def _block_mirror2(cfg: RingConfig, sym, dec) -> Analysis:
+def _block_mirror2(cfg: RingConfig, sym, dec) -> ProtocolState:
     # Symmetric, all d.blocks the same size: the blocks beside (or around)
     # the leader hole guide the others; the borders of the blocks one hole
     # away step toward their guide block.
     n = cfg.n
     lead = sym.leader_hole
     if lead is None:
-        return Analysis(Tag.UNKNOWN, {}, {})
+        return _UNKNOWN
     flank_left = (lead.start - 1) % n
     flank_right = (lead.start + lead.size) % n
     owners = {}
@@ -510,7 +511,7 @@ def _block_mirror2(cfg: RingConfig, sym, dec) -> Analysis:
     for v in (flank_left, flank_right):
         g = owners.get(v)
         if g is None:
-            return Analysis(Tag.UNKNOWN, {}, {})
+            return _UNKNOWN
         if g not in guides:
             guides.append(g)
     moves = {}
@@ -524,7 +525,7 @@ def _block_mirror2(cfg: RingConfig, sym, dec) -> Analysis:
                 continue  # the shared hole must differ from H
             moves[nxt] = ((nxt - step) % n,)
     roles = {"H": lead, "guides": tuple(g.nodes(n) for g in guides)}
-    return Analysis(Tag.BLOCK_MIRROR_2, moves, roles)
+    return ProtocolState(Tag.BLOCK_MIRROR_2, moves, roles)
 
 
 def _hole_between_is_leader(border, step, lead, n):
@@ -539,7 +540,7 @@ def _next_occupied(occ, node, step, n):
     return v
 
 
-def _big_block(cfg: RingConfig, sym, dec) -> Analysis:
+def _big_block(cfg: RingConfig, sym, dec) -> ProtocolState:
     n = cfg.n
     biggest_size = max(b.size for b in dec.blocks)
     biggest = [b for b in dec.blocks if b.size == biggest_size]
@@ -574,7 +575,7 @@ def _big_block(cfg: RingConfig, sym, dec) -> Analysis:
     for v, dist, dirs in cand:
         if v in movers:
             moves[v] = tuple(sorted((v + s) % n for s in dirs))
-    return Analysis(tag, moves, {"biggest": tuple(b.nodes(n) for b in biggest)})
+    return ProtocolState(tag, moves, {"biggest": tuple(b.nodes(n) for b in biggest)})
 
 
 def _isolated_candidates(cfg: RingConfig, dec, biggest_nodes):
@@ -634,7 +635,7 @@ def _try_big_block_1_1(cfg: RingConfig, sym, dec):
     step = dists[mover][1]
     moves = {mover: ((mover + step) % n,)}
     roles = {"isolated": (i1, i2), "blocks": tuple(b.nodes(n) for b in dec.blocks)}
-    return Analysis(Tag.BIG_BLOCK_1_1, moves, roles)
+    return ProtocolState(Tag.BIG_BLOCK_1_1, moves, roles)
 
 
 def _closest_candidates(cfg: RingConfig, dec, target_blocks, exclude_members=False):
@@ -694,11 +695,12 @@ def _biggest_view(cfg: RingConfig, nodes):
 # ---------------------------------------------------------------------------
 
 
-def _odd_pattern(cfg: RingConfig):
+def _odd_pattern(cfg: RingConfig) -> ProtocolState:
     """Movement rules for patterns with an odd number of occupied nodes.
-    These arise only after the Phase-3 tower hides one robot.  Returns
-    (shape, moves, roles) with shape in {"single", "absorb", "skew3",
-    "skew21", None}."""
+    These arise only after the Phase-3 tower hides one robot.  The tags
+    with a "center" role (P3SingleBlock, Target, P3Absorb) hold only when
+    the tower stands on the center, and P3Skew only when its one move
+    restores one of them; `_classify` checks both."""
     n = cfg.n
     runs = occupied_runs(cfg)
     m = len(runs)
@@ -710,7 +712,9 @@ def _odd_pattern(cfg: RingConfig):
         start, size = runs[0]
         center = (start + (size - 1) // 2) % n
         a, b = (center - 1) % n, (center + 1) % n
-        return "single", {a: (center,), b: (center,)}, {"center": center}
+        return ProtocolState(
+            Tag.P3_SINGLE_BLOCK, {a: (center,), b: (center,)}, {"center": center}
+        )
 
     if m == 2:
         # One lagging singleton at distance 2 from the merged block.
@@ -722,35 +726,36 @@ def _odd_pattern(cfg: RingConfig):
                     target = (iso + 1) % n
                 else:
                     target = (iso - 1) % n
-                return "skew21", {iso: (target,)}, {}
-        return None, {}, {}
+                return ProtocolState(Tag.P3_SKEW, {iso: (target,)}, {})
+        return _UNKNOWN
 
     if m == 3:
         flanked = [
             i for i in range(3) if gaps[i] == 1 and gaps[(i - 1) % 3] == 1
         ]
         if len(flanked) != 1:
-            return None, {}, {}
+            return _UNKNOWN
         mid = flanked[0]
         sides = [(mid + 1) % 3, (mid - 1) % 3]
         s_a, s_b = runs[sides[0]][1], runs[sides[1]][1]
         mid_size = runs[mid][1]
         if mid_size % 2 == 1 and s_a == s_b:
-            # symmetric absorb step: both side borders move toward the middle
+            # symmetric absorb step: both side borders move toward the
+            # middle; a middle of one node is the tower Phase 3 starts from
             moves = {}
             for si in sides:
                 mover, target = _border_toward(runs[si], mid, si, gaps, n)
                 moves[mover] = (target,)
             center = (runs[mid][0] + (mid_size - 1) // 2) % n
-            return "absorb", moves, {"center": center}
+            tag = Tag.TARGET if mid_size == 1 else Tag.P3_ABSORB
+            return ProtocolState(tag, moves, {"center": center})
         if mid_size % 2 == 0 and abs(s_a - s_b) == 1:
             # one side is a move ahead; the bigger side's border catches up
             big_side = sides[0] if s_a > s_b else sides[1]
             mover, target = _border_toward(runs[big_side], mid, big_side, gaps, n)
-            return "skew3", {mover: (target,)}, {}
-        return None, {}, {}
+            return ProtocolState(Tag.P3_SKEW, {mover: (target,)}, {})
 
-    return None, {}, {}
+    return _UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -758,99 +763,74 @@ def _odd_pattern(cfg: RingConfig):
 # ---------------------------------------------------------------------------
 
 
-def _visible_pattern(cfg: RingConfig) -> RingConfig:
-    if cfg.towerless:
-        return cfg
-    return RingConfig(cfg.n, tuple(1 if c else 0 for c in cfg.occ))
-
-
-def _classify(cfg: RingConfig) -> Analysis:
+def _classify(cfg: RingConfig) -> ProtocolState:
     if cfg.k == 0:
         raise ValueError("cannot classify an empty configuration")
     occupied = cfg.occupied
     if len(occupied) == 1:
         roles = {"tower": occupied[0]} if cfg.occ[occupied[0]] >= 2 else {}
-        return Analysis(Tag.GATHERED, {}, roles)
+        return ProtocolState(Tag.GATHERED, {}, roles)
     if cfg.n % 2 == 0:
-        return Analysis(Tag.UNKNOWN, {}, {})
+        return _UNKNOWN
 
     if cfg.towerless:
         return _even_pattern(cfg)
 
     towers = cfg.towers
     if len(towers) != 1:
-        return Analysis(Tag.UNKNOWN, {}, {})
+        return _UNKNOWN
     tower = towers[0]
-    pattern = _visible_pattern(cfg)
-    w = len(occupied)
-
-    if w % 2 == 1:
-        shape, moves, roles = _odd_pattern(pattern)
-        if shape == "single" and roles.get("center") == tower:
-            roles = dict(roles, tower=tower)
-            return Analysis(Tag.P3_SINGLE_BLOCK, moves, roles)
-        if shape == "absorb" and roles.get("center") == tower:
-            roles = dict(roles, tower=tower)
-            runs = occupied_runs(pattern)
-            mid_size = next(size for start, size in runs if (tower - start) % cfg.n < size)
-            tag = Tag.TARGET if mid_size == 1 else Tag.P3_ABSORB
-            return Analysis(tag, moves, roles)
-        if shape in ("skew3", "skew21"):
-            return _confirm_skew(cfg, moves, roles, tower)
-        return Analysis(Tag.UNKNOWN, {}, {})
-
-    # even visible width with a tower: a robot has merged onto the tower,
-    # leaving the TerminalSkew shape with the tower as the advanced robot
-    pat_analysis = _even_pattern(pattern)
-    if pat_analysis.tag is Tag.TERMINAL_SKEW:
-        r1 = pat_analysis.roles.get("r1")
-        if r1 is None or r1 == tower:
-            # the tower robot never moves
-            moves = {v: t for v, t in pat_analysis.moves.items() if cfg.occ[v] == 1}
-            return _confirm_skew(cfg, moves, pat_analysis.roles, tower)
-    return Analysis(Tag.UNKNOWN, {}, {})
+    # the rules read the visible pattern: odd width once the tower hides a
+    # robot, even once a robot has merged onto it (the TerminalSkew shape)
+    pattern = RingConfig(cfg.n, tuple(1 if c else 0 for c in cfg.occ))
+    state = (_odd_pattern if len(occupied) % 2 else _even_pattern)(pattern)
+    if state.roles.get("center") == tower:
+        return ProtocolState(state.tag, state.moves, dict(state.roles, tower=tower))
+    if state.tag is Tag.P3_SKEW or (
+        state.tag is Tag.TERMINAL_SKEW and state.roles.get("r1", tower) == tower
+    ):
+        # the tower robot never moves
+        moves = {v: t for v, t in state.moves.items() if cfg.occ[v] == 1}
+        return _confirm_skew(cfg, moves, state.roles, tower)
+    return _UNKNOWN
 
 
-def _confirm_skew(cfg: RingConfig, moves, roles, tower):
+def _confirm_skew(cfg: RingConfig, moves, roles, tower) -> ProtocolState:
     """A skew state is one lagging move away from a symmetric Phase-3
     state; applying the unique pending move must restore one."""
     if len(moves) != 1:
-        return Analysis(Tag.UNKNOWN, {}, {})
-    (mover, targets), = moves.items()
-    if len(targets) != 1 or cfg.occ[mover] != 1:
-        return Analysis(Tag.UNKNOWN, {}, {})
-    target = targets[0]
-    occ = list(cfg.occ)
-    occ[mover] -= 1
-    occ[target] += 1
-    after = _classify(RingConfig(cfg.n, tuple(occ)))
+        return _UNKNOWN
+    (mover, (target,)), = moves.items()
+    after = _classify(RingConfig(cfg.n, _move_one(cfg.occ, mover, target)))
     if after.tag in (Tag.TARGET, Tag.P3_ABSORB, Tag.P3_SINGLE_BLOCK, Tag.GATHERED):
-        return Analysis(Tag.P3_SKEW, dict(moves), dict(roles, tower=tower))
-    return Analysis(Tag.UNKNOWN, {}, {})
+        return ProtocolState(Tag.P3_SKEW, moves, dict(roles, tower=tower))
+    return _UNKNOWN
 
 
 def classify_protocol_state(cfg: RingConfig) -> ProtocolState:
-    """Name the protocol state of a configuration.
+    """Name the protocol state of a configuration: a fresh record, whose
+    roles also list the "movers" unless it is Gathered or Unknown.
 
     Precedence: Gathered, then tower (Phase 3) states, then Terminal and
     TerminalSkew, then the nine special Phase-2 configurations, then the
     Phase-1 d.block configurations.  Anything outside the protocol's
     reachable set is Unknown, as is every even ring but a gathered one.
     """
-    a = _analyze(cfg.occ)
-    if a.tag is Tag.GATHERED or a.tag is Tag.UNKNOWN:
-        return ProtocolState(a.tag, a.roles)
-    return ProtocolState(a.tag, dict(a.roles, movers=tuple(sorted(a.moves))))
+    state = _analyze(cfg.occ)
+    roles = dict(state.roles)
+    if state.tag is not Tag.GATHERED and state.tag is not Tag.UNKNOWN:
+        roles["movers"] = tuple(sorted(state.moves))
+    return ProtocolState(state.tag, dict(state.moves), roles)
 
 
 def enabled_moves(cfg: RingConfig) -> dict[int, tuple[int, ...]]:
     """The robots allowed to move: a fresh dict from each one's node to its
     admissible destination nodes, ascending.  Two destinations mean the
     scheduler picks the direction."""
-    a = _analyze(cfg.occ)
-    if a.tag is Tag.UNKNOWN:
+    state = _analyze(cfg.occ)
+    if state.tag is Tag.UNKNOWN:
         raise NoRuleError("no rule")
-    return dict(a.moves)
+    return dict(state.moves)
 
 
 def phase_of(state: ProtocolState | Tag) -> Phase:
@@ -885,11 +865,8 @@ def _class_moves(key: tuple[int, ...]):
     `check_local_global_consistency` runs the global rules on: that
     cross-check still compares two computations on different placements."""
     pattern = reconstruct_from_view(View(key, False))
-    if len(key) % 2 == 0:
-        a = _even_pattern(pattern)
-        return None if a.tag is Tag.UNKNOWN else a.moves
-    shape, moves, _roles = _odd_pattern(pattern)
-    return None if shape is None else moves
+    state = (_odd_pattern if len(key) % 2 else _even_pattern)(pattern)
+    return None if state.tag is Tag.UNKNOWN else state.moves
 
 
 def local_decide(view: View):
@@ -931,7 +908,7 @@ def _decide(occ: tuple[int, ...], node: int):
 @lru_cache(maxsize=_CACHE_SIZE)
 def _decisions(occ: tuple[int, ...]) -> tuple:
     """Every robot's decision on ``occ``, by node: its target nodes,
-    ascending, as in `Analysis.moves` (``()`` to stay, ``(t,)``, or
+    ascending, as in `ProtocolState.moves` (``()`` to stay, ``(t,)``, or
     ``(node - 1, node + 1)`` sorted when the scheduler picks), `_NO_RULE`,
     or `_EMPTY` on an empty node.
 

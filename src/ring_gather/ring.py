@@ -26,9 +26,11 @@ from itertools import compress
 
 # Occupancy-string alphabet, indexed by robot count.  The protocol grid uses
 # k = 10, whose gathered state needs a count above 9, so counts 10..35 render
-# as lowercase letters.  Counts above 35 have no encoding and are rejected.
+# as lowercase letters.  Counts above `_MAX_COUNT` have no encoding and are
+# rejected.
 _COUNT_CHARS = ".123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_TO_COUNT = {ch: i for i, ch in enumerate(_COUNT_CHARS)}
+_MAX_COUNT = len(_COUNT_CHARS) - 1
 
 
 def format_occupancy(occ) -> str:
@@ -36,7 +38,7 @@ def format_occupancy(occ) -> str:
     try:
         return "".join(_COUNT_CHARS[c] for c in occ)
     except IndexError:
-        raise ValueError("unsupported occupancy count (max 35)") from None
+        raise ValueError(f"unsupported occupancy count (max {_MAX_COUNT})") from None
 
 
 def parse_occupancy(text: str) -> tuple[int, ...]:
@@ -45,6 +47,14 @@ def parse_occupancy(text: str) -> tuple[int, ...]:
         return tuple(_CHAR_TO_COUNT[ch] for ch in text)
     except KeyError as exc:
         raise ValueError(f"bad occupancy character {exc.args[0]!r}") from None
+
+
+def _move_one(occ: tuple[int, ...], src: int, dst: int) -> tuple[int, ...]:
+    """The occupancy after one robot moves from node `src` to node `dst`."""
+    nxt = list(occ)
+    nxt[src] -= 1
+    nxt[dst] += 1
+    return tuple(nxt)
 
 
 @dataclass(frozen=True)

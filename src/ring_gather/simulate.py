@@ -31,7 +31,7 @@ from operator import not_
 from random import Random
 from typing import NamedTuple
 
-from .ring import RingConfig, _canonical, classify_symmetry
+from .ring import _MAX_COUNT, RingConfig, _canonical, _move_one, classify_symmetry
 from .protocol import (
     PHASES,
     NoRuleError,
@@ -156,11 +156,8 @@ class _Sim:
         if not targets:
             return node, None
         target = direction if len(targets) > 1 else targets[0]
-        occ = list(self.occ)
-        occ[node] -= 1
-        occ[target] += 1
+        occ = self.occ = _move_one(self.occ, node, target)
         self.width += (occ[target] == 1) - (occ[node] == 0)
-        self.occ = tuple(occ)
         self.positions[robot] = target
         return node, target
 
@@ -417,20 +414,24 @@ class InvalidStartError(ValueError):
 
 def validate_params(n: int, k: int, relaxed: bool = False) -> None:
     """Check the protocol's size constraints: n odd, k even, k > 8 and
-    n > k + 3.  `relaxed` lifts only k > 8 and n > k + 3: the rules cover
-    an even number of robots on an odd ring only.  The message lists every
+    n > k + 3, and the tool's own: k at most the largest count an
+    occupancy string can write, since a run ends with all k robots on one
+    node.  `relaxed` lifts only k > 8 and n > k + 3: the rules cover an
+    even number of robots on an odd ring only.  The message lists every
     violated constraint."""
     problems = []
     if k % 2 != 0:
         problems.append("k even")
     if k <= 8:
         problems.append("k>8")
+    if k > _MAX_COUNT:
+        problems.append(f"k<={_MAX_COUNT} (the largest count of the occupancy alphabet)")
     if n % 2 != 1:
         problems.append("n odd")
     if n <= k + 3:
         problems.append("n>k+3")
     if relaxed:
-        problems = [p for p in problems if p in ("k even", "n odd")]
+        problems = [p for p in problems if p not in ("k>8", "n>k+3")]
     if problems:
         raise InvalidStartError("constraint violated: " + ", ".join(problems))
 

@@ -34,6 +34,7 @@ from ring_gather.checker import (
     _successors,
     check_local_global_consistency,
 )
+from ring_gather.ring import _move_one
 
 import oracles
 from oracles import orbit_classes
@@ -382,6 +383,58 @@ def test_verify_report_lists_every_failure():
     assert {f["initial"] for f in failures} <= census_bad
 
 
+def test_process_pool_gives_the_serial_report():
+    kwargs = dict(grids=((15, 10),), random_seeds=1, lazy_seeds=1, transition_ns=(15,),
+                  lemma1_n_max=6)
+    serial = run_verification(**kwargs)
+    pooled = run_verification(jobs=2, **kwargs)
+    for report in (serial, pooled):
+        del report["stats"]["wall_seconds"]
+    assert pooled == serial
+
+
+def test_sampled_events_are_census_edges():
+    # the converse of the report test above: replayed as explorer states
+    # (occ, pending), with only the intents that have a target pending,
+    # every event of a sampled run that changes the state (a move, or an
+    # activation with a target) is an edge of the census, and a run that
+    # reaches a census dead end starts from a class the census finds bad
+    n = 15
+    starts = list(enumerate_initial_configs(n, 10))
+    census_bad = {cfg.to_string() for cfg in starts if not check_all_paths_gather(cfg)}
+    edges = dead_ends = 0
+    for cfg in starts:
+        for name, seed in (("synchronous", None), ("random", 0), ("lazy", 0)):
+            trace = run(cfg, builtin_scheduler(name, seed))
+            occ, pending = cfg.occ, {}  # robot -> (node, targets)
+            dead_end = False
+            for ev in trace.events + [None]:
+                state = (occ, tuple(sorted(pending.values())))
+                succs = _successors(state)
+                dead_end = dead_end or (not succs and occ.count(0) != n - 1)
+                if ev is None:
+                    break
+                if ev.kind == "activate":
+                    target = protocol._decisions(occ)[ev.from_node]
+                    if not target:
+                        continue
+                    pending[ev.robot] = (ev.from_node, target)
+                    label = ("activate", ev.from_node)
+                else:
+                    pending.pop(ev.robot, None)
+                    if ev.to_node is None:
+                        continue
+                    occ = _move_one(occ, ev.from_node, ev.to_node)
+                    label = ("fire", ev.from_node, ev.to_node)
+                edge = (label, (occ, tuple(sorted(pending.values()))))
+                assert edge in succs, (cfg.to_string(), name, ev.step)
+                edges += 1
+            if dead_end:
+                assert cfg.to_string() in census_bad, (cfg.to_string(), name)
+                dead_ends += 1
+    assert (edges, dead_ends) == (32_471, 1)
+
+
 class TestPhase2Transitions:
     @pytest.mark.parametrize("n", [15, 17, 21])
     def test_conformance(self, n):
@@ -453,9 +506,9 @@ class TestAllPathsGather:
         # protocol has a state, those must be the global rule's moves
         expanded = set()
 
-        def successors(n, state):
+        def successors(state):
             expanded.add(state[0])
-            return _successors(n, state)
+            return _successors(state)
 
         monkeypatch.setattr(checker, "_successors", successors)
         protocol.clear_caches()
@@ -520,9 +573,9 @@ class TestProvenTable:
         assert check_all_paths_gather(cfg)
         expanded = []
 
-        def successors(n, state):
+        def successors(state):
             expanded.append(state)
-            return _successors(n, state)
+            return _successors(state)
 
         monkeypatch.setattr(checker, "_successors", successors)
         monkeypatch.setattr(checker, "_MAX_STATES", 1)
@@ -532,7 +585,7 @@ class TestProvenTable:
 
 class TestExplore:
     def test_depth_one_from_terminal(self):
-        succ = _successors(TERMINAL_15.n, (TERMINAL_15.occ, ()))
+        succ = _successors((TERMINAL_15.occ, ()))
         # exactly the two activations of the enabled pair
         assert [label[0] for label, _ in succ] == ["activate", "activate"]
         assert len({st for _, st in succ}) == 2

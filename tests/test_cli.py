@@ -70,10 +70,14 @@ def test_simulate_validates_constraints():
         main(["simulate", "--occ", "11111111.1.....", "--scheduler", "synchronous"])
     assert "k even" in str(exc.value)
     # --relaxed never accepts an even ring, and a Terminal start is
-    # size-checked like any other
+    # size-checked like any other; a valid start of the protocol whose
+    # gathered tower of 36 robots no occupancy string can write is
+    # rejected before the run, not at its last move
     for argv, message in (
         (["--relaxed", "--occ", "1111111111......"], "constraint violated: n odd"),
         (["--occ", "1111.1111.."], "constraint violated: k>8, n>k+3"),
+        (["--occ", "1" * 36 + "." * 5], "invalid initial configuration: constraint violated: "
+         "k<=35 (the largest count of the occupancy alphabet)"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", *argv])

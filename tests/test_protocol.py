@@ -226,6 +226,12 @@ class TestEnabledMoves:
     def test_returns_a_fresh_dict(self):
         enabled_moves(BLOCK_15).clear()
         assert enabled_moves(BLOCK_15) == {0: (14,), 9: (10,)}
+        state = classify_protocol_state(BLOCK_15)
+        state.moves.clear()
+        state.roles.clear()
+        state = classify_protocol_state(BLOCK_15)
+        assert state.moves == {0: (14,), 9: (10,)}
+        assert state.roles == {"movers": (0, 9)}
 
     def test_tower_robots_never_move(self):
         for cfg in (target_15(),):
@@ -246,7 +252,9 @@ class TestEnabledMoves:
                     a = protocol._analyze(o)
                     assert all(o[v] == 1 for v in a.moves), o
                     assert all(list(t) == sorted(set(t)) for t in a.moves.values()), o
-                    roles = classify_protocol_state(RingConfig(n, o)).roles
+                    state = classify_protocol_state(RingConfig(n, o))
+                    assert state.moves == a.moves, o
+                    roles = state.roles
                     if a.tag in (Tag.GATHERED, Tag.UNKNOWN):
                         assert not a.moves and "movers" not in roles, o
                     else:
@@ -329,15 +337,10 @@ def _engine_decision(view):
         return ()
     pattern = reconstruct_from_view(view)
     n = pattern.n
-    if len(view.dists) % 2 == 0:
-        analysis = _even_pattern(pattern)
-        moves = None if analysis.tag is Tag.UNKNOWN else analysis.moves
-    else:
-        shape, moves, _roles = _odd_pattern(pattern)
-        moves = None if shape is None else moves
-    if moves is None:
+    state = (_odd_pattern if len(view.dists) % 2 else _even_pattern)(pattern)
+    if state.tag is Tag.UNKNOWN:
         return NoRuleError
-    mine = set(moves.get(0, ()))
+    mine = set(state.moves.get(0, ()))
     if not mine:
         return ()
     if mine == {1, n - 1}:

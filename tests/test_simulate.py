@@ -175,6 +175,14 @@ class TestRun:
         # a Terminal start skips the tower and periodicity checks, not the sizes
         with pytest.raises(InvalidStartError, match="k>8, n>k\\+3"):
             run(RingConfig.from_string("1111.1111.."), builtin_scheduler("synchronous"))
+        with pytest.raises(InvalidStartError, match="^initial configuration has a tower$"):
+            run(RingConfig.from_string("2.11111111....."), builtin_scheduler("synchronous"))
+        # k = 36 meets every constraint of the protocol, but its gathered
+        # tower has no occupancy character; relaxed does not lift that
+        for relaxed in (False, True):
+            with pytest.raises(InvalidStartError, match="^constraint violated: k<=35 "):
+                run(RingConfig.from_string("1" * 36 + "." * 5), builtin_scheduler("synchronous"),
+                    relaxed=relaxed)
 
     def test_phase3_start_accepted(self):
         occ = [0] * 15
