@@ -115,19 +115,25 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     """The verdicts of the five `TRACE_CHECKS`, by name, from one pass.
 
     One replay re-executes the events from the initial occupancy with every
-    robot's pending intent (its node and decision). It fails at the first
-    event that disagrees with it and stops there; the checks that read only
-    recorded fields go on. At most one pending intent may be incorrect
+    robot's pending intent (its node and decision). It fails at step 0 when
+    the header's n or k differs from the initial occupancy, else at the
+    first event that disagrees with it, such as one naming a robot outside
+    0…k−1, and stops there; the checks that read only recorded fields go
+    on. At most one pending intent may be incorrect
     (`intent_is_incorrect`) in Phases 1 and 2; a fresh intent equals the
     fresh decision, so the count is redone only after a robot moves, an
     intent is removed, or a decision finds no rule.
     """
-    n = trace.n
+    n, k = trace.n, trace.k
     occ = parse_occupancy(trace.initial)
     canon = _canon_of(occ)
     pending: dict[int, tuple[int, object]] = {}  # robot -> (node, targets or _NO_RULE)
     incorrect, recount = 0, False
     tower = periodic = outdated = monotonic = replay = None
+    if (len(occ), sum(occ)) != (n, k):
+        mismatch = "header n or k differs from initial"
+        replay = Verdict.fail(0, mismatch, trace.initial)
+        outdated = Verdict.fail(0, f"replay failed: {mismatch}", trace.initial)
     reached_p3 = False
     seen: set[str] = set()
     for step, kind, robot, src, dst, occ_s, tag, _round in trace.events:
@@ -152,7 +158,9 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
         if replay is not None:
             continue
         mismatch = None
-        if kind == "activate":
+        if not 0 <= robot < k:
+            mismatch = "no such robot"
+        elif kind == "activate":
             if robot in pending:
                 mismatch = "activate with intent pending"
             elif not 0 <= src < n:

@@ -146,6 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text: str) -> int:
+        """Step and seed counts: argparse rejects a negative or non-integer
+        value as an `invalid count value`."""
+        value = int(text)
+        if value < 0:
+            raise ValueError(text)
+        return value
+
     flags = {
         "--n": dict(type=int, default=None, help="ring size"),
         "--k": dict(type=int, default=None, help="robot count"),
@@ -155,12 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
                             default="synchronous"),
         "--seed": dict(type=int, default=None,
                        help=f"RNG seed (falls back to ${SEED_ENV})"),
-        "--max-steps": dict(type=int, default=400_000),
+        "--max-steps": dict(type=count, default=400_000),
         "--fairness-bound": dict(type=int, default=None),
         "--relaxed": dict(action="store_true",
                           help='lift only "k>8" and "n>k+3" (testing only)'),
-        "--random-seeds": dict(type=int, default=50),
-        "--lazy-seeds": dict(type=int, default=10),
+        "--random-seeds": dict(type=count, default=50),
+        "--lazy-seeds": dict(type=count, default=10),
         "--c": dict(type=int, default=20,
                     help="round-bound constant: gathered within c*n^2 rounds"),
         "--jobs": dict(type=int, default=None, help="worker processes"),

@@ -11,14 +11,18 @@ records a pending intent, and executes the move in a separate `fire` action.
 The hazard the model cares about is exactly the gap between snapshot and
 move; splitting Look from Compute would add no observable behaviour.
 
+The scheduler, as CORDA's adversary, only names the robot that acts next.
+The robot's own state decides the action: an idle robot activates, a robot
+with a pending intent fires it.
+
 Robot ids exist only here, for scheduling and fairness bookkeeping.  No
 decision ever sees them: intents are computed from views alone.
 
 Fairness is enforced as a bounded delay: every robot completes a full cycle
-at least once every `fairness_bound` actions, schedulers that starve a robot
-get overridden by a forced action on it.  An asynchronous round has elapsed
-once every robot finished at least one move phase (a Stay still counts as a
-completed move phase).
+at least once every `fairness_bound` actions; when a scheduler would starve
+a robot, the most starved robot acts instead.  An asynchronous round has
+elapsed once every robot finished at least one move phase (a Stay still
+counts as a completed move phase).
 """
 
 from __future__ import annotations
@@ -48,16 +52,6 @@ from .protocol import (
 DEFAULT_MAX_STEPS = 400_000
 
 
-class SchedulerAction(NamedTuple):
-    """`activate` takes a snapshot for an idle robot; `fire` executes a
-    pending intent, with `direction` naming the chosen target node when the
-    intent left the direction to the scheduler."""
-
-    kind: str  # "activate" | "fire"
-    robot: int
-    direction: int | None = None
-
-
 @dataclass(frozen=True)
 class PendingIntent:
     """A computed but not yet executed move.
@@ -71,7 +65,6 @@ class PendingIntent:
     configuration would decide differently (see `intent_is_incorrect`).
     """
 
-    robot: int
     snapshot_step: int
     snapshot_occ: tuple[int, ...]
     target: tuple[int, ...]
@@ -126,27 +119,22 @@ class _Sim:
         # robot -> step of its last completed move phase, oldest first (ties by id)
         self.last_cycle = dict.fromkeys(range(self.k), 0)
 
-    def apply(self, action: SchedulerAction):
-        """Execute one scheduler action; returns (from_node, to_node) with
-        to_node None for activations and cleared Stay intents.  An action
-        that is rejected (`ValueError`, or `NoRuleError` from the decision)
-        leaves the state as it was."""
-        kind, robot, direction = action
+    def apply(self, robot: int, direction: int | None = None):
+        """Let `robot` act: an idle robot activates, recording a pending
+        intent; a robot with an intent fires it, toward `direction` when
+        the intent leaves the direction to the scheduler.  Returns
+        (from_node, to_node) with to_node None for activations and cleared
+        Stay intents.  An action that is rejected (`ValueError`, or
+        `NoRuleError` from the decision) leaves the state as it was."""
         if not 0 <= robot < self.k:
             raise ValueError("scheduler contract violation: no such robot")
         node = self.positions[robot]
         intent = self.pending[robot]
-        if kind == "activate":
-            if intent is not None:
-                raise ValueError("scheduler contract violation: intent pending")
+        if intent is None:
             target = _decide(self.occ, node)
             self.step += 1
-            self.pending[robot] = PendingIntent(robot, self.step, self.occ, target)
+            self.pending[robot] = PendingIntent(self.step, self.occ, target)
             return node, None
-        if kind != "fire":
-            raise ValueError(f"scheduler contract violation: bad kind {kind!r}")
-        if intent is None:
-            raise ValueError("scheduler contract violation: nothing to fire")
         targets = intent.target
         if len(targets) > 1 and direction not in targets:
             raise ValueError("scheduler contract violation: direction needed")
@@ -273,19 +261,22 @@ _CLEAR_HOOKS.append(_canon_of.cache_clear)
 
 
 class Scheduler:
-    """Adversary interface: proposes actions, picks directions for
-    either-way intents.  `run` overrides proposals that would starve a
-    robot past the fairness bound."""
+    """Adversary interface: `propose` names the robot that acts next, and
+    `choose_direction` picks one of the two targets of a robot whose
+    intent leaves the direction open.  The robot's state decides the
+    action: an idle robot activates, a robot with an intent fires it.
+    `run` overrides proposals that would starve a robot past the fairness
+    bound."""
 
     name = "scheduler"
 
     def start(self, sim: _Sim):
         pass
 
-    def propose(self, sim: _Sim) -> SchedulerAction:
+    def propose(self, sim: _Sim) -> int:
         raise NotImplementedError
 
-    def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
+    def choose_direction(self, sim: _Sim, robot: int) -> int:
         raise NotImplementedError
 
 
@@ -310,31 +301,23 @@ class SynchronousScheduler(Scheduler):
     within the same wave, so symmetric configurations stay symmetric.
 
     The wave is read off the pending intents, so a fairness-forced action
-    cannot make it stale: while robot 0 holds an intent, or no robot does,
-    the lowest idle robot is activated; otherwise the lowest pending robot
-    fires."""
+    cannot make it stale: while robot 0 holds an intent the lowest idle
+    robot acts, otherwise the lowest pending robot; with none, robot 0."""
 
     name = "synchronous"
 
-    def propose(self, sim: _Sim) -> SchedulerAction:
+    def propose(self, sim: _Sim) -> int:
         # scans by truth value (an intent is always true): comparing with
         # None would call the dataclass's __eq__ on every intent
-        pending, robots = sim.pending, range(sim.k)
-        if pending[0] is None:
-            robot = next(compress(robots, pending), None)  # lowest pending
-            if robot is None:
-                return SchedulerAction("activate", 0)
-            return SchedulerAction("fire", robot)
-        robot = next(compress(robots, map(not_, pending)), None)  # lowest idle
-        if robot is None:
-            return SchedulerAction("fire", 0)
-        return SchedulerAction("activate", robot)
+        pending = sim.pending
+        wave = pending if pending[0] is None else map(not_, pending)
+        return next(compress(range(sim.k), wave), 0)
 
-    def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
+    def choose_direction(self, sim: _Sim, robot: int) -> int:
         # Keep symmetric snapshots symmetric: walk toward the axis node, a
         # direction the axis reflection maps to the partner's mirror choice;
         # a robot on the axis node steps to node + 1.
-        n, node = sim.n, sim.positions[intent.robot]
+        n, node, intent = sim.n, sim.positions[robot], sim.pending[robot]
         info = classify_symmetry(RingConfig(n, intent.snapshot_occ))
         if info.symmetric and info.axis_node is not None:
             axis = info.axis_node
@@ -355,20 +338,18 @@ class _SeededScheduler(Scheduler):
     def start(self, sim: _Sim):
         self._rng = Random(self.seed)
 
-    def choose_direction(self, sim: _Sim, intent: PendingIntent) -> int:
-        return self._rng.choice(intent.target)
+    def choose_direction(self, sim: _Sim, robot: int) -> int:
+        return self._rng.choice(sim.pending[robot].target)
 
 
 class RandomFairScheduler(_SeededScheduler):
-    """Uniformly random valid action each step, seeded."""
+    """Uniformly random robot each step, seeded: idle robots ascending, then
+    pending robots ascending, index drawn by the RNG."""
 
     name = "random"
 
-    def propose(self, sim: _Sim) -> SchedulerAction:
-        choices = [("activate", r) for r in _idle_robots(sim)]
-        choices += [("fire", r) for r in _pending_robots(sim)]
-        kind, robot = self._rng.choice(choices)
-        return SchedulerAction(kind, robot)
+    def propose(self, sim: _Sim) -> int:
+        return self._rng.choice(_idle_robots(sim) + _pending_robots(sim))
 
 
 class LazyScheduler(_SeededScheduler):
@@ -378,18 +359,16 @@ class LazyScheduler(_SeededScheduler):
 
     name = "lazy"
 
-    def propose(self, sim: _Sim) -> SchedulerAction:
+    def propose(self, sim: _Sim) -> int:
         enabled = _enabled_idle(sim)
         if enabled:
-            return SchedulerAction("activate", self._rng.choice(enabled))
+            return self._rng.choice(enabled)
         pending = _pending_robots(sim)
         if pending:
-            newest = max(
-                pending, key=lambda r: (sim.pending[r].snapshot_step, -r)
-            )
-            return SchedulerAction("fire", newest)
+            # snapshot steps are distinct: every activation has its own step
+            return max(pending, key=lambda r: sim.pending[r].snapshot_step)
         # nobody enabled, nothing pending: cycle an arbitrary idle robot
-        return SchedulerAction("activate", self._rng.choice(_idle_robots(sim)))
+        return self._rng.choice(_idle_robots(sim))
 
 
 def builtin_scheduler(name: str, seed: int | None = None) -> Scheduler:
@@ -462,10 +441,11 @@ def run(
 ) -> Trace:
     """Drive a full execution until gathered, stuck, or the step limit.
 
-    The scheduler proposes actions; whenever a robot is close to exceeding
+    The scheduler names the robot that acts, and the robot's state decides
+    whether it activates or fires; whenever a robot is close to exceeding
     the fairness bound (4k by default, at least 2k) since its last
-    completed cycle, a forced action on the most starved robot replaces
-    the proposal.  A run is stuck when a robot with no rule is activated,
+    completed cycle, the most starved robot acts instead of the proposed
+    one.  A run is stuck when a robot with no rule is activated,
     or when after a move no robot can move again: every robot's decision
     is Stay and no pending intent has a target.
     """
@@ -497,24 +477,16 @@ def run(
         if sim.step >= max_steps:
             trace.outcome = "StepLimit"
             break
-        action = None
-        starved = sim.starved()
-        if sim.step - sim.last_cycle[starved] >= bound - slack:
-            if sim.pending[starved] is None:
-                action = SchedulerAction("activate", starved)
-            else:
-                action = SchedulerAction("fire", starved)
-        if action is None:
-            action = scheduler.propose(sim)
-        if action.kind == "fire":
-            intent = sim.pending[action.robot]
-            if intent is not None and len(intent.target) > 1:
-                if action.direction is None:
-                    action = action._replace(
-                        direction=scheduler.choose_direction(sim, intent)
-                    )
+        robot = sim.starved()
+        if sim.step - sim.last_cycle[robot] < bound - slack:
+            robot = scheduler.propose(sim)
+        # a robot that does not exist has no intent, and `apply` rejects it
+        intent = sim.pending[robot] if 0 <= robot < sim.k else None
+        direction = None
+        if intent is not None and len(intent.target) > 1:
+            direction = scheduler.choose_direction(sim, robot)
         try:
-            from_node, to_node = sim.apply(action)
+            from_node, to_node = sim.apply(robot, direction)
         except NoRuleError:
             # a state outside the protocol's rule set was reached; the
             # checker treats any Stuck outcome as a failure
@@ -522,11 +494,8 @@ def run(
             break
         if to_node is not None:
             canon, tag = _canon_of(sim.occ), _analyze(sim.occ).tag.value
-        events.append(
-            TraceEvent(
-                sim.step, action.kind, action.robot, from_node, to_node, canon, tag, sim.round
-            )
-        )
+        kind = "activate" if intent is None else "fire"
+        events.append(TraceEvent(sim.step, kind, robot, from_node, to_node, canon, tag, sim.round))
         # after a move, no robot can change the configuration again when
         # every occupied node's decision is Stay and no intent has a target
         if to_node is not None and _decisions(sim.occ).count(()) == sim.width:

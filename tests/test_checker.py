@@ -230,6 +230,24 @@ class TestReplayRobustness:
         tampered = with_event(trace, 10, to_node=99)
         self.assert_replay_fails(tampered, 10, "fire to a node off the ring")
 
+    def test_robot_that_does_not_exist(self):
+        # robot 3 renamed 99 in every event: the events still replay alike,
+        # but the trace's k = 10 robots have no robot 99
+        trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
+        events = [ev._replace(robot=99) if ev.robot == 3 else ev for ev in trace.events]
+        tampered = Trace(**{**trace.__dict__, "events": events})
+        first = next(i for i, ev in enumerate(events) if ev.robot == 99)
+        self.assert_replay_fails(tampered, first, "no such robot")
+
+    @pytest.mark.parametrize("field, value", [("n", 17), ("k", 12)])
+    def test_header_that_differs_from_initial(self, field, value):
+        trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
+        tampered = Trace(**{**trace.__dict__, field: value})
+        description = "header n or k differs from initial"
+        assert replay_trace(tampered) == Verdict.fail(0, description, trace.initial)
+        assert check_outdated_bound(tampered) == Verdict.fail(
+            0, f"replay failed: {description}", trace.initial
+        )
 
     def test_fire_from_an_emptied_node(self):
         # robots 4 and 9 both claim the one robot on node 4 of Terminal, and

@@ -175,6 +175,36 @@ def test_enumerate_and_simulate_reject_unused_flags(argv, tmp_path, monkeypatch,
     assert not (tmp_path / "f.txt").exists()
 
 
+# each case names its negative count last; the other counts are 0 or 1, so
+# a run that should not start stays short
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--occ", TERMINAL, "--max-steps", "-5"],
+        ["verify", "--n", "15", "--k", "10", "--lazy-seeds", "0", "--max-steps", "1",
+         "--random-seeds", "-3"],
+        ["verify", "--n", "15", "--k", "10", "--random-seeds", "0", "--max-steps", "1",
+         "--lazy-seeds", "-1"],
+        ["verify", "--n", "15", "--k", "10", "--random-seeds", "0", "--lazy-seeds", "0",
+         "--max-steps", "-1"],
+    ],
+)
+def test_negative_counts_are_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag, value = argv[-2:]
+    assert f"argument {flag}: invalid count value: '{value}'" in capsys.readouterr().err
+
+
+def test_zero_max_steps_is_accepted(capsys):
+    assert main(["simulate", "--occ", TERMINAL, "--max-steps", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 2  # header and footer, no event
+    assert "outcome=StepLimit rounds=0" in err
+
+
 @pytest.mark.parametrize("flag", [["--n", "15"], ["--k", "10"]])
 def test_verify_needs_both_n_and_k(flag):
     # --max-steps 1 keeps a run of the default grids short should the

@@ -7,10 +7,10 @@ import pytest
 from ring_gather import (
     InvalidStartError,
     RingConfig,
-    SchedulerAction,
     Tag,
     Trace,
     builtin_scheduler,
+    check_trace,
     classify_protocol_state,
     classify_symmetry,
     run,
@@ -18,6 +18,7 @@ from ring_gather import (
 from ring_gather.protocol import decide_targets
 from ring_gather.simulate import (
     PendingIntent,
+    Scheduler,
     _Sim,
     intent_is_incorrect,
     read_trace,
@@ -50,7 +51,7 @@ def _state(sim):
 class TestStep:
     def test_activate_records_intent(self):
         sim = _Sim(BLOCK_15)
-        sim.apply(SchedulerAction("activate", 0))
+        sim.apply(0)
         intent = sim.pending[0]
         assert intent is not None
         assert intent.target == (14,)
@@ -58,16 +59,16 @@ class TestStep:
 
     def test_fire_stay_is_noop(self):
         sim = _Sim(BLOCK_15)
-        sim.apply(SchedulerAction("activate", 5))
+        sim.apply(5)
         assert sim.pending[5].target == ()
-        sim.apply(SchedulerAction("fire", 5))
+        sim.apply(5)
         assert tuple(sim.occ) == BLOCK_15.occ
         assert sim.pending[5] is None
 
     def test_activate_then_fire_moves_border(self):
         sim = _Sim(BLOCK_15)
-        sim.apply(SchedulerAction("activate", 0))
-        sim.apply(SchedulerAction("fire", 0))
+        sim.apply(0)
+        sim.apply(0)
         assert sim.positions[0] == 14
         assert sim.occ[0] == 0 and sim.occ[14] == 1
 
@@ -77,16 +78,16 @@ class TestStep:
         sim = _Sim(TERMINAL_15)
         a = sim.positions.index(4)
         b = sim.positions.index(6)
-        sim.apply(SchedulerAction("activate", a))
-        sim.apply(SchedulerAction("activate", b))
-        sim.apply(SchedulerAction("fire", a))
+        sim.apply(a)
+        sim.apply(b)
+        sim.apply(a)
         assert sim.occ[5] == 1
         intent = sim.pending[b]
         occ = tuple(sim.occ)
         assert intent.snapshot_occ != occ  # outdated
         # the catch-up move agrees with a fresh decision
         assert not intent_is_incorrect(occ, sim.positions[b], intent.target)
-        sim.apply(SchedulerAction("fire", b))
+        sim.apply(b)
         assert sim.occ[5] == 2  # tower on the axis node
 
     def test_pending_stay_is_never_incorrect(self):
@@ -97,7 +98,7 @@ class TestStep:
         trace = run(cfg, builtin_scheduler("random", 1))
         sim = _Sim(cfg)
         for ev in trace.events[:35]:
-            sim.apply(SchedulerAction(ev.kind, ev.robot, ev.to_node))
+            sim.apply(ev.robot, ev.to_node)
         intent = sim.pending[2]
         occ = tuple(sim.occ)
         assert intent.target == () and sim.positions[2] == 7
@@ -108,38 +109,28 @@ class TestStep:
     @pytest.mark.parametrize(
         "setup, action, reason",
         [
-            ([("activate", 0)], ("activate", 0), "intent pending"),
-            ([], ("fire", 3), "nothing to fire"),
-            ([], ("activate", 10), "no such robot"),
-            ([], ("move", 0), "bad kind 'move'"),
+            ([], (10,), "no such robot"),
             # robot 3, on node 6, may step to node 5 or node 7
-            ([("activate", 3)], ("fire", 3), "direction needed"),
-            ([("activate", 3)], ("fire", 3, 8), "direction needed"),
+            ([3], (3,), "direction needed"),
+            ([3], (3, 8), "direction needed"),
         ],
-        ids=[
-            "intent-pending",
-            "nothing-to-fire",
-            "no-such-robot",
-            "bad-kind",
-            "direction-missing",
-            "direction-off-pair",
-        ],
+        ids=["no-such-robot", "direction-missing", "direction-off-pair"],
     )
     def test_contract_violation_rejected(self, setup, action, reason):
         sim = _Sim(EITHER_WAY_15)
-        for act in setup:
-            sim.apply(SchedulerAction(*act))
+        for robot in setup:
+            sim.apply(robot)
         before = _state(sim)
         with pytest.raises(ValueError, match=f"scheduler contract violation: {reason}"):
-            sim.apply(SchedulerAction(*action))
+            sim.apply(*action)
         assert _state(sim) == before
 
     def test_round_counts_when_every_robot_cycled(self):
         sim = _Sim(BLOCK_15)
         for r in range(sim.k):
-            sim.apply(SchedulerAction("activate", r))
+            sim.apply(r)
         for r in range(sim.k):
-            sim.apply(SchedulerAction("fire", r))
+            sim.apply(r)
         assert sim.round == 1
 
 
@@ -271,9 +262,27 @@ class TestSchedulers:
         assert classify_symmetry(cfg).axis_node == axis
         sim = _Sim(cfg)
         targets = tuple(sorted(((axis - 1) % 15, (axis + 1) % 15)))
-        intent = PendingIntent(sim.positions.index(axis), 1, cfg.occ, targets)
+        robot = sim.positions.index(axis)
+        sim.pending[robot] = PendingIntent(1, cfg.occ, targets)
         sched = builtin_scheduler("synchronous")
-        assert sched.choose_direction(sim, intent) == (axis + 1) % 15
+        assert sched.choose_direction(sim, robot) == (axis + 1) % 15
+
+    def test_custom_scheduler_names_only_robots(self):
+        # the scheduler names a robot and never an action: the robot's own
+        # state makes it activate or fire, and fairness brings in the rest
+        class LowestFirst(Scheduler):
+            name = "lowest"
+
+            def propose(self, sim):
+                return 0
+
+            def choose_direction(self, sim, robot):
+                return max(sim.pending[robot].target)
+
+        trace = run(TERMINAL_15, LowestFirst())
+        assert trace.outcome == "Gathered"
+        assert {ev.robot for ev in trace.events} != {0}
+        assert all(check_trace(trace).values())
 
     def test_lazy_reaches_terminal_skew(self):
         trace = run(TERMINAL_15, builtin_scheduler("lazy", 0))
@@ -329,13 +338,12 @@ class TestAnonymity:
         while not s1.gathered():
             for sim in (s1, s2):
                 for r in range(sim.k):
-                    sim.apply(SchedulerAction("activate", r))
+                    sim.apply(r)
                 for r in range(sim.k):
-                    intent = sim.pending[r]
                     direction = None
-                    if len(intent.target) > 1:
-                        direction = sched.choose_direction(sim, intent)
-                    sim.apply(SchedulerAction("fire", r, direction))
+                    if len(sim.pending[r].target) > 1:
+                        direction = sched.choose_direction(sim, r)
+                    sim.apply(r, direction)
             assert s1.occ == s2.occ
             waves += 1
         assert s2.gathered() and waves > 1
