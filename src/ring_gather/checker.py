@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .ring import (
     RingConfig,
-    _canonical,
+    _aperiodic_bracelets,
     _move_one,
     classify_symmetry,
     compute_view,
@@ -81,23 +81,13 @@ class Verdict:
 def enumerate_initial_configs(n: int, k: int, relaxed: bool = False):
     """Yield one representative per ring-automorphism class of the
     towerless, non-periodic k-robot configurations on an n-ring, as
-    canonical `RingConfig`s, in a deterministic order."""
+    canonical `RingConfig`s: in the order in which placements with a robot
+    on node 0, in `itertools.combinations` order, first meet each class."""
     validate_params(n, k, relaxed)
     if k < 1 or k > n:
         raise ValueError("constraint violated: k must be between 1 and n")
-    seen = set()
-    # every class has a representative with a robot on node 0
-    for rest in itertools.combinations(range(1, n), k - 1):
-        occ = [0] * n
-        for v in (0,) + rest:
-            occ[v] = 1
-        canon = _canonical(tuple(occ))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        cfg = RingConfig.from_string(canon)
-        if not classify_symmetry(cfg).periodic:
-            yield cfg
+    for text in _aperiodic_bracelets(n, k):
+        yield RingConfig.from_string(text)
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +106,26 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
 
     One replay re-executes the events from the initial occupancy with every
     robot's pending intent (its node and decision). It fails at step 0 when
-    the header's n or k differs from the initial occupancy, else at the
-    first event that disagrees with it, such as one naming a robot outside
-    0…k−1, and stops there; the checks that read only recorded fields go
-    on. At most one pending intent may be incorrect
+    the initial occupancy does not parse or the header's n or k differs
+    from it, else at the first event that disagrees with it, such as one
+    naming a robot outside 0…k−1, and stops there; the checks that read
+    only recorded fields go on. At most one pending intent may be incorrect
     (`intent_is_incorrect`) in Phases 1 and 2; a fresh intent equals the
     fresh decision, so the count is redone only after a robot moves, an
     intent is removed, or a decision finds no rule.
     """
     n, k = trace.n, trace.k
-    occ = parse_occupancy(trace.initial)
-    canon = _canon_of(occ)
     pending: dict[int, tuple[int, object]] = {}  # robot -> (node, targets or _NO_RULE)
     incorrect, recount = 0, False
     tower = periodic = outdated = monotonic = replay = None
-    if (len(occ), sum(occ)) != (n, k):
-        mismatch = "header n or k differs from initial"
+    try:
+        occ = parse_occupancy(trace.initial)
+        mismatch = None if (len(occ), sum(occ)) == (n, k) else "header n or k differs from initial"
+    except ValueError as exc:
+        mismatch = str(exc)
+    if mismatch is None:
+        canon = _canon_of(occ)
+    else:
         replay = Verdict.fail(0, mismatch, trace.initial)
         outdated = Verdict.fail(0, f"replay failed: {mismatch}", trace.initial)
     reached_p3 = False

@@ -2,7 +2,7 @@
 
 Subcommands:
   simulate   run one execution and write the trace as JSONL
-  enumerate  stream canonical initial configurations
+  enumerate  print canonical initial configurations, once all are generated
   verify     run the verification battery and write the JSON report
   classify   name the protocol state of an occupancy string
 
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", cmd_simulate, "run one execution, write JSONL trace",
          ("--out", "--occ", "--scheduler", "--seed", "--max-steps",
           "--fairness-bound", "--relaxed")),
-        ("enumerate", cmd_enumerate, "stream canonical initial configs",
+        ("enumerate", cmd_enumerate, "print canonical initial configs",
          ("--n", "--k", "--relaxed")),
         ("verify", cmd_verify, "run the verification battery",
          ("--n", "--k", "--out", "--random-seeds", "--lazy-seeds", "--c",

@@ -391,6 +391,48 @@ def canonical_form(cfg: RingConfig) -> str:
     return _canonical(cfg.occ)
 
 
+def _aperiodic_bracelets(n: int, k: int) -> list[str]:
+    """The `canonical_form` of every class of the towerless, non-periodic
+    k-robot configurations on an n-ring, 1 <= k <= n.
+
+    A string ``.^g1 1 .^g2 1 … .^gk 1`` is its own least rotation, and
+    equals no other (a Lyndon word), when its run lengths g are strictly
+    greater than every other rotation of g: a longer leading run of '.'
+    makes a smaller string.  FKM's prenecklace recursion makes these g
+    under the reversed order, with sum n − k.  A string is kept when no
+    rotation of reversed g is greater, so no mirror image is smaller.
+
+    The strings come sorted by their least gap sequence, read from any
+    robot in either direction: the order in which placements with a
+    robot on node 0, in `itertools.combinations` order, first meet each
+    class.  Gaps are runs plus one, so runs give the same order."""
+    total = n - k
+    runs = [total] + [0] * k  # runs[0] bounds the first run
+    found = []
+
+    def extend(t: int, p: int, s: int) -> None:
+        if t > k:
+            if p == k and s == total:
+                found.append(tuple(runs[1:]))
+            return
+        top = runs[t - p]
+        for j in range(min(top, total - s), -1, -1):
+            runs[t] = j
+            if s + j + (k - t) * runs[1] < total:  # no later run tops the first
+                break
+            extend(t + 1, p if j == top else t, s + j)
+
+    extend(1, 1, 0)
+    keyed = []
+    for g in found:
+        mirrored = g[::-1] * 2
+        if all(g >= mirrored[i : i + k] for i in range(k)):
+            doubled = g * 2
+            key = min(seq[i : i + k] for seq in (doubled, mirrored) for i in range(k))
+            keyed.append((key, "".join("." * run + "1" for run in g)))
+    return [text for _, text in sorted(keyed)]
+
+
 def _canonical(occ: tuple[int, ...]) -> str:
     """`canonical_form` of an occupancy tuple."""
     n = len(occ)

@@ -151,6 +151,24 @@ def orbit_classes(n, k, include_periodic=False):
     return classes
 
 
+def first_met_classes(n, k):
+    """The least occupancy string of every non-periodic class of towerless
+    k-robot placements, in the order in which a sweep over the placements
+    with a robot on node 0, in `combinations` order, first meets each
+    class."""
+    seen = set()
+    classes = []
+    for rest in combinations(range(1, n), k - 1):
+        occ = tuple(1 if i == 0 or i in rest else 0 for i in range(n))
+        if occ in seen:
+            continue
+        orbit = all_images(occ)
+        seen.update(orbit)
+        if brute_symmetry_class(occ) != "periodic":
+            classes.append("".join(".1"[c] for c in min(orbit)))
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # decisions, one robot at a time
 # ---------------------------------------------------------------------------

@@ -86,6 +86,16 @@ class TestEnumerate:
         for c in classes:
             assert c.to_string() == canonical_form(c)
 
+    @pytest.mark.parametrize(
+        "n,k,relaxed",
+        [(15, 10, False), (17, 10, False), (5, 2, True), (11, 8, True), (13, 10, True), (15, 8, True)],
+    )
+    def test_order_matches_placement_sweep(self, n, k, relaxed):
+        # the verify report's first counterexample, the acceptance sample and
+        # the protocol tests' first starts all read this order
+        classes = [c.to_string() for c in enumerate_initial_configs(n, k, relaxed=relaxed)]
+        assert classes == oracles.first_met_classes(n, k)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="k even"):
             list(enumerate_initial_configs(15, 9))
@@ -248,6 +258,19 @@ class TestReplayRobustness:
         assert check_outdated_bound(tampered) == Verdict.fail(
             0, f"replay failed: {description}", trace.initial
         )
+
+    def test_initial_that_does_not_parse(self):
+        trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
+        tampered = Trace(**{**trace.__dict__, "initial": "11111.1111!...."})
+        description = "bad occupancy character '!'"
+        verdicts = check_trace(tampered)
+        assert verdicts["replay"] == Verdict.fail(0, description, tampered.initial)
+        assert verdicts["outdated_bound"] == Verdict.fail(
+            0, f"replay failed: {description}", tampered.initial
+        )
+        # the checks that read only recorded fields go on as before
+        for name in ("no_tower_before_target", "never_periodic", "phase_monotonic"):
+            assert verdicts[name] == check_trace(trace)[name]
 
     def test_fire_from_an_emptied_node(self):
         # robots 4 and 9 both claim the one robot on node 4 of Terminal, and
@@ -492,7 +515,14 @@ class TestAllPathsGather:
         assert (min(steps), max(steps)) == (31, 58)
 
     @pytest.mark.parametrize(
-        "n,k,classes,bad", [(17, 10, 600, 54), (19, 10, 2494, 163), (19, 12, 1368, 196)]
+        "n,k,classes,bad",
+        [
+            (17, 10, 600, 54),
+            (19, 10, 2494, 163),
+            (19, 12, 1368, 196),
+            (21, 10, 8524, 387),
+            (21, 12, 7101, 723),
+        ],
     )
     def test_failure_branch_census_of_larger_grids(self, n, k, classes, bad):
         verdicts = [check_all_paths_gather(c) for c in enumerate_initial_configs(n, k)]
