@@ -106,23 +106,23 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
 
     One replay re-executes the events from the initial occupancy with every
     robot's pending intent (its node and decision). It fails at step 0 when
-    the initial occupancy does not parse or the header's n or k differs
-    from it, else at the first event that disagrees with it, such as one
-    naming a robot outside 0…k−1, and stops there; the checks that read
-    only recorded fields go on. At most one pending intent may be incorrect
-    (`intent_is_incorrect`) in Phases 1 and 2; a fresh intent equals the
-    fresh decision, so the count is redone only after a robot moves, an
-    intent is removed, or a decision finds no rule.
+    the initial occupancy is unreadable (`_parse_recorded`) or the header's
+    n or k differs from it, else at the first event that disagrees with it,
+    such as one naming a robot outside 0…k−1 or a node that is no integer,
+    and stops there; the checks that read only recorded fields go on, and
+    treat an event's `occ` that is no string as one that does not parse.
+    At most one pending intent may be incorrect (`intent_is_incorrect`) in
+    Phases 1 and 2; a fresh intent equals the fresh decision, so the count
+    is redone only after a robot moves, an intent is removed, or a decision
+    finds no rule.
     """
     n, k = trace.n, trace.k
     pending: dict[int, tuple[int, object]] = {}  # robot -> (node, targets or _NO_RULE)
     incorrect, recount = 0, False
     tower = periodic = outdated = monotonic = replay = None
-    try:
-        occ = parse_occupancy(trace.initial)
-        mismatch = None if (len(occ), sum(occ)) == (n, k) else "header n or k differs from initial"
-    except ValueError as exc:
-        mismatch = str(exc)
+    occ, mismatch = _parse_recorded(trace.initial)
+    if mismatch is None and (len(occ), sum(occ)) != (n, k):
+        mismatch = "header n or k differs from initial"
     if mismatch is None:
         canon = _canon_of(occ)
     else:
@@ -132,12 +132,13 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     seen: set[str] = set()
     for step, kind, robot, src, dst, occ_s, tag, _round in trace.events:
         phase = _PHASES.get(tag)
+        occ_is_str = isinstance(occ_s, str)
         if tower is None:
             if tag in _P3_ENTRY:
                 tower = _PASS
-            elif not _TOWERLESS.issuperset(occ_s):
+            elif not (occ_is_str and _TOWERLESS.issuperset(occ_s)):
                 tower = Verdict.fail(step, "tower before Phase 3", occ_s)
-        if periodic is None and occ_s not in seen:
+        if periodic is None and occ_is_str and occ_s not in seen:
             seen.add(occ_s)
             towerless = "1" in occ_s and _TOWERLESS.issuperset(occ_s)
             if towerless and rotations_fixing(parse_occupancy(occ_s)):
@@ -152,12 +153,12 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
         if replay is not None:
             continue
         mismatch = None
-        if not 0 <= robot < k:
+        if not isinstance(robot, int) or not 0 <= robot < k:
             mismatch = "no such robot"
         elif kind == "activate":
             if robot in pending:
                 mismatch = "activate with intent pending"
-            elif not 0 <= src < n:
+            elif not isinstance(src, int) or not 0 <= src < n:
                 mismatch = "activate from a node off the ring"
             elif not occ[src]:
                 mismatch = "activate from an empty node"
@@ -175,7 +176,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 mismatch = "fire without intent"
             elif dst is not None:
                 node, target = entry
-                if not 0 <= dst < n:
+                if not isinstance(dst, int) or not 0 <= dst < n:
                     mismatch = "fire to a node off the ring"
                 elif node != src or target is _NO_RULE or dst not in target:
                     mismatch = "fired move differs from intent"
@@ -218,6 +219,18 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     return {name: _PASS if v is None else v for name, v in verdicts.items()}
 
 
+def _parse_recorded(text) -> tuple[tuple[int, ...] | None, str | None]:
+    """A recorded occupancy string's tuple and None, or None and why it
+    cannot be read: it is no string, does not parse, or has no robot."""
+    if not isinstance(text, str):
+        return None, f"occupancy {text!r} is not a string"
+    try:
+        occ = parse_occupancy(text)
+    except ValueError as exc:
+        return None, str(exc)
+    return (occ, None) if any(occ) else (None, "occupancy has no robot")
+
+
 def replay_trace(trace: Trace) -> Verdict:
     """Re-execute a trace and confirm every recorded occupancy string."""
     return check_trace(trace)["replay"]
@@ -257,14 +270,18 @@ def check_local_global_consistency(trace: Trace) -> Verdict:
     """On every configuration of the trace, each robot's decision from its
     view (`decide_targets`) must match the global rule (`enabled_moves`):
     the same targets, or stay.  A robot with no rule while the global rule
-    applies fails."""
+    applies fails, as does an occupancy that cannot be read."""
+    occ, problem = _parse_recorded(trace.initial)
+    if problem is not None:
+        return Verdict.fail(0, problem, trace.initial)
     seen = set()
-    initial = _canon_of(parse_occupancy(trace.initial))
-    for step, occ_s in [(0, initial)] + [(ev.step, ev.occ) for ev in trace.events]:
-        if occ_s in seen:
+    for step, occ_s in [(0, _canon_of(occ))] + [(ev.step, ev.occ) for ev in trace.events]:
+        if isinstance(occ_s, str) and occ_s in seen:
             continue
+        occ, problem = _parse_recorded(occ_s)
+        if problem is not None:
+            return Verdict.fail(step, problem, occ_s)
         seen.add(occ_s)
-        occ = parse_occupancy(occ_s)
         a = _analyze(occ)
         if a.tag is Tag.UNKNOWN:
             return Verdict.fail(step, "unknown state reached", occ_s)

@@ -210,16 +210,18 @@ def _even_pattern(cfg: RingConfig) -> ProtocolState:
     if sym.periodic:
         return _UNKNOWN
 
-    # Terminal: two 1.blocks of size w/2 facing across a single empty node.
+    # Terminal and Start: two 1.blocks of size w/2 facing across the leader
+    # hole; the borders next to it step into it.  Terminal is the Start
+    # whose leader hole is a single empty node, which both borders target.
+    # Of the rules below, only Biblock (at w = 2) could match too, and only
+    # with that one-node hole.
     if m == 2 and sizes[0] == sizes[1] and sym.symmetric and sym.leader_hole:
         lead = sym.leader_hole
-        if lead.size == 1:
-            hole_node = lead.start
-            a = (hole_node - 1) % n
-            b = (hole_node + 1) % n
-            moves = {a: (hole_node,), b: (hole_node,)}
-            roles = {"H": lead, "slave": sym.slave_hole}
-            return ProtocolState(Tag.TERMINAL, moves, roles)
+        a = (lead.start - 1) % n
+        b = (lead.start + lead.size) % n
+        moves = {a: (lead.start,), b: ((lead.start + lead.size - 1) % n,)}
+        tag = Tag.TERMINAL if lead.size == 1 else Tag.START
+        return ProtocolState(tag, moves, {"H": lead, "slave": sym.slave_hole})
 
     # TerminalSkew: two 1.blocks at distance 2 whose sizes differ by two.
     # The trailing border of the larger block steps onto its own leading
@@ -227,7 +229,6 @@ def _even_pattern(cfg: RingConfig) -> ProtocolState:
     if m == 2 and abs(sizes[0] - sizes[1]) == 2:
         if (gaps[0] == 1) != (gaps[1] == 1):
             gi = 0 if gaps[0] == 1 else 1
-            hole_node = (_run_end(runs[gi], n) + 1) % n
             big_i = 0 if sizes[0] > sizes[1] else 1
             big = runs[big_i]
             if gi == big_i:  # size-1 hole follows the big run
@@ -272,15 +273,6 @@ def _even_pattern(cfg: RingConfig) -> ProtocolState:
         roles = {"B1": _run_nodes(big, n), "B2": _run_nodes(runs[1 - big_i], n)}
         return ProtocolState(Tag.BIBLOCK, {mover: (target,)}, roles)
 
-    # Start: two 1.blocks of size k/2 not at distance 2; the borders next to
-    # the leader hole step into it.
-    if m == 2 and sizes[0] == sizes[1] and sym.symmetric and sym.leader_hole:
-        lead = sym.leader_hole
-        a = (lead.start - 1) % n
-        b = (lead.start + lead.size) % n
-        moves = {a: (lead.start,), b: ((lead.start + lead.size - 1) % n,)}
-        return ProtocolState(Tag.START, moves, {"H": lead, "slave": sym.slave_hole})
-
     # EvenT / OddT: 1.blocks of sizes k/2, k/2-1 and 1 with the singleton at
     # distance 2 from the (k/2-1)-block; the parity of the hole between the
     # singleton and the k/2-block separates the two cases.
@@ -303,8 +295,8 @@ def _even_pattern(cfg: RingConfig) -> ProtocolState:
                 mover, target = _border_toward(runs[half_i], one_i, half_i, gaps, n)
                 return ProtocolState(Tag.EVEN_T, {mover: (target,)}, roles)
             # OddT: the singleton joins the (k/2-1)-block.
-            target = _step_toward(runs, gaps, one_i, mid_i, n)
-            return ProtocolState(Tag.ODD_T, {iso: (target,)}, roles)
+            mover, target = _border_toward(runs[one_i], mid_i, one_i, gaps, n)
+            return ProtocolState(Tag.ODD_T, {mover: (target,)}, roles)
 
     # TriBlockS: middle 1.block crossed by the axis edge, one empty node on
     # each side; its borders step outward, joining the side blocks.
@@ -314,8 +306,7 @@ def _even_pattern(cfg: RingConfig) -> ProtocolState:
             mid_i = next(
                 i for i, r in enumerate(runs) if (ex - r[0]) % n < r[1]
             )
-            before = (mid_i - 1) % m
-            if gaps[mid_i] == 1 and gaps[before] == 1:
+            if gaps[mid_i] == gaps[mid_i - 1] == 1:
                 start, size = runs[mid_i]
                 end = _run_end(runs[mid_i], n)
                 moves = {start: ((start - 1) % n,), end: ((end + 1) % n,)}
@@ -326,9 +317,7 @@ def _even_pattern(cfg: RingConfig) -> ProtocolState:
     # differ by one; the border of the middle block facing the smaller side
     # block steps over to it.
     if m == 3 and not sym.symmetric:
-        flanked = [
-            i for i in range(3) if gaps[i] == 1 and gaps[(i - 1) % 3] == 1
-        ]
+        flanked = _flanked(gaps)
         if len(flanked) == 1:
             b1 = flanked[0]
             others = [i for i in range(3) if i != b1]
@@ -356,24 +345,18 @@ def _even_pattern(cfg: RingConfig) -> ProtocolState:
             moves = {}
             leader_blocks = []
             slave_blocks = []
-            for i in range(4):
-                h = hole_list[i]
-                nxt = (i + 1) % 4
+            for i, h in enumerate(hole_list):
+                left, right = runs[i], runs[(i + 1) % 4]
                 if h == lead:
-                    leader_blocks += [runs[i], runs[nxt]]
+                    leader_blocks += [left, right]
                 elif h == slave:
-                    slave_blocks += [runs[i], runs[nxt]]
-            for i in range(4):
-                h = hole_list[i]
-                if h.size == 1 and h != lead and h != slave:
-                    left, right = runs[i], runs[(i + 1) % 4]
-                    if left in slave_blocks:
-                        mover = _run_end(left, n)
-                        target = (mover + 1) % n
-                    else:
-                        mover = right[0]
-                        target = (mover - 1) % n
-                    moves[mover] = (target,)
+                    slave_blocks += [left, right]
+                elif hole_list[i - 1] == slave:  # the left run is a slave block
+                    mover = _run_end(left, n)
+                    moves[mover] = ((mover + 1) % n,)
+                else:
+                    mover = right[0]
+                    moves[mover] = ((mover - 1) % n,)
             roles = {
                 "H": lead,
                 "slave": slave,
@@ -413,6 +396,11 @@ def _even_pattern(cfg: RingConfig) -> ProtocolState:
     return _phase1_pattern(cfg, sym)
 
 
+def _flanked(gaps):
+    """Indices of the runs with a one-node hole on each side."""
+    return [i for i, gap in enumerate(gaps) if gap == gaps[i - 1] == 1]
+
+
 def _gap_between(runs, gaps, i, j, n):
     """Size of the hole between runs i and j when cyclically adjacent, else -1."""
     m = len(runs)
@@ -434,16 +422,6 @@ def _border_toward(run, target_i, run_i, gaps, n):
     return mover, (mover - 1) % n
 
 
-def _step_toward(runs, gaps, from_i, to_i, n):
-    """Target node for the single robot of run `from_i` stepping toward the
-    cyclically adjacent run `to_i`."""
-    m = len(runs)
-    node = runs[from_i][0]
-    if (from_i + 1) % m == to_i:
-        return (node + 1) % n
-    return (node - 1) % n
-
-
 # ---------------------------------------------------------------------------
 # Phase 1: d.block rules
 # ---------------------------------------------------------------------------
@@ -452,48 +430,37 @@ def _step_toward(runs, gaps, from_i, to_i, n):
 def _phase1_pattern(cfg: RingConfig, sym) -> ProtocolState:
     n = cfg.n
     dec = decompose_blocks(cfg)
-    d = dec.d
     blocks = dec.blocks
-    isolated = dec.isolated
-    sizes = [b.size for b in blocks]
+    uniform = not dec.isolated and len({b.size for b in blocks}) == 1
 
-    if not isolated and len(set(sizes)) == 1:
-        if len(blocks) <= 2 and d > 1:
-            # BlockDistance: one d.block of size k or two of size k/2 with
-            # d > 1; the robots flanking the leader hole step away from it,
-            # starting a (d-1)-spaced block.
-            if sym.symmetric and sym.leader_hole is not None:
-                lead = sym.leader_hole
-                a = (lead.start - 1) % n
-                b = (lead.start + lead.size) % n
-                moves = {a: ((a - 1) % n,), b: ((b + 1) % n,)}
-                roles = {"H": lead, "blocks": tuple(b_.nodes(n) for b_ in blocks)}
-                return ProtocolState(Tag.BLOCK_DISTANCE, moves, roles)
-            return _UNKNOWN
-        if len(blocks) > 2:
-            if sym.symmetric:
-                return _block_mirror2(cfg, sym, dec)
-            return _block_mirror1(cfg, dec)
+    if uniform and len(blocks) <= 2:
+        # BlockDistance: one d.block of size k or two of size k/2 with
+        # d > 1; the robots flanking the leader hole step away from it,
+        # starting a (d-1)-spaced block.
+        if dec.d > 1 and sym.symmetric and sym.leader_hole is not None:
+            lead = sym.leader_hole
+            a = (lead.start - 1) % n
+            b = (lead.start + lead.size) % n
+            moves = {a: ((a - 1) % n,), b: ((b + 1) % n,)}
+            roles = {"H": lead, "blocks": tuple(b_.nodes(n) for b_ in blocks)}
+            return ProtocolState(Tag.BLOCK_DISTANCE, moves, roles)
         return _UNKNOWN
 
-    return _big_block(cfg, sym, dec)
-
-
-def _block_mirror1(cfg: RingConfig, dec) -> ProtocolState:
-    # Asymmetric, all d.blocks the same size: among the robots closest to a
-    # neighbouring d.block, the one with the biggest view steps toward it.
-    n = cfg.n
-    cand = _closest_candidates(cfg, dec, set(dec.blocks))
-    movers = _biggest_view(cfg, [v for v, _, _ in cand])
-    moves = {}
-    for v, dist, dirs in cand:
-        if v in movers:
-            moves[v] = tuple(sorted((v + s) % n for s in dirs))
-    roles = {"blocks": tuple(b.nodes(n) for b in dec.blocks)}
+    # the d.block of every robot in one
+    owner = {v: b for b in blocks for v in b.nodes(n)}
+    if not uniform:
+        return _big_block(cfg, sym, dec, owner)
+    if sym.symmetric:
+        return _block_mirror2(cfg, sym, dec, owner)
+    # BlockMirror1: asymmetric, all d.blocks the same size: among the robots
+    # closest to a neighbouring d.block, the one with the biggest view steps
+    # toward it.
+    moves = _biggest_view_moves(cfg, _closest_candidates(cfg, owner, set(blocks)))
+    roles = {"blocks": tuple(b.nodes(n) for b in blocks)}
     return ProtocolState(Tag.BLOCK_MIRROR_1, moves, roles)
 
 
-def _block_mirror2(cfg: RingConfig, sym, dec) -> ProtocolState:
+def _block_mirror2(cfg: RingConfig, sym, dec, owner) -> ProtocolState:
     # Symmetric, all d.blocks the same size: the blocks beside (or around)
     # the leader hole guide the others; the borders of the blocks one hole
     # away step toward their guide block.
@@ -503,13 +470,9 @@ def _block_mirror2(cfg: RingConfig, sym, dec) -> ProtocolState:
         return _UNKNOWN
     flank_left = (lead.start - 1) % n
     flank_right = (lead.start + lead.size) % n
-    owners = {}
-    for b in dec.blocks:
-        for v in b.nodes(n):
-            owners[v] = b
     guides = []
     for v in (flank_left, flank_right):
-        g = owners.get(v)
+        g = owner.get(v)
         if g is None:
             return _UNKNOWN
         if g not in guides:
@@ -518,19 +481,14 @@ def _block_mirror2(cfg: RingConfig, sym, dec) -> ProtocolState:
     for g in guides:
         for border, step in zip(g.borders(n), (-1, 1)):
             nxt = _next_occupied(cfg.occ, border, step, n)
-            other = owners.get(nxt)
+            other = owner.get(nxt)
             if other is None or other is g:
                 continue
-            if _hole_between_is_leader(border, step, lead, n):
+            if lead.contains((border + step) % n, n):
                 continue  # the shared hole must differ from H
             moves[nxt] = ((nxt - step) % n,)
     roles = {"H": lead, "guides": tuple(g.nodes(n) for g in guides)}
     return ProtocolState(Tag.BLOCK_MIRROR_2, moves, roles)
-
-
-def _hole_between_is_leader(border, step, lead, n):
-    first_empty = (border + step) % n
-    return lead.contains(first_empty, n)
 
 
 def _next_occupied(occ, node, step, n):
@@ -540,47 +498,31 @@ def _next_occupied(occ, node, step, n):
     return v
 
 
-def _big_block(cfg: RingConfig, sym, dec) -> ProtocolState:
+def _big_block(cfg: RingConfig, sym, dec, owner) -> ProtocolState:
     n = cfg.n
     biggest_size = max(b.size for b in dec.blocks)
     biggest = [b for b in dec.blocks if b.size == biggest_size]
-    biggest_nodes = {}
-    for b in biggest:
-        for v in b.nodes(n):
-            biggest_nodes[v] = b
+    targets = set(biggest)
 
-    iso_adjacent = False
-    for v in dec.isolated:
-        for step in (1, -1):
-            u = _next_occupied(cfg.occ, v, step, n)
-            if u in biggest_nodes:
-                iso_adjacent = True
-                break
-        if iso_adjacent:
-            break
-
-    if iso_adjacent:
+    if any(owner.get(_next_occupied(cfg.occ, v, step, n)) in targets
+           for v in dec.isolated for step in (1, -1)):
         bb11 = _try_big_block_1_1(cfg, sym, dec)
         if bb11 is not None:
             return bb11
         tag = Tag.BIG_BLOCK_1_2
         # only isolated robots move while one of them neighbours a biggest
         # block; block borders wait their turn
-        cand = _isolated_candidates(cfg, dec, biggest_nodes)
+        cand = _isolated_candidates(cfg, dec, owner, targets)
     else:
         tag = Tag.BIG_BLOCK_2
-        cand = _closest_candidates(cfg, dec, set(biggest), exclude_members=True)
-    movers = _biggest_view(cfg, [v for v, _, _ in cand])
-    moves = {}
-    for v, dist, dirs in cand:
-        if v in movers:
-            moves[v] = tuple(sorted((v + s) % n for s in dirs))
+        cand = _closest_candidates(cfg, owner, targets, exclude_members=True)
+    moves = _biggest_view_moves(cfg, cand)
     return ProtocolState(tag, moves, {"biggest": tuple(b.nodes(n) for b in biggest)})
 
 
-def _isolated_candidates(cfg: RingConfig, dec, biggest_nodes):
-    """Isolated robots sharing a hole with a biggest d.block, keeping only
-    those at minimal distance, with their minimal directions."""
+def _isolated_candidates(cfg: RingConfig, dec, owner, targets):
+    """Isolated robots sharing a hole with a block of `targets`, keeping
+    only those at minimal distance, with their minimal directions."""
     n = cfg.n
     per = []
     for v in dec.isolated:
@@ -588,7 +530,7 @@ def _isolated_candidates(cfg: RingConfig, dec, biggest_nodes):
         best = None
         for step in (1, -1):
             u = _next_occupied(cfg.occ, v, step, n)
-            if u not in biggest_nodes:
+            if owner.get(u) not in targets:
                 continue
             gap = ((u - v) * step) % n
             if best is None or gap < best:
@@ -601,7 +543,7 @@ def _isolated_candidates(cfg: RingConfig, dec, biggest_nodes):
     if not per:
         return []
     top = min(d for _, d, _ in per)
-    return [(v, d, dirs) for v, d, dirs in per if d == top]
+    return [(v, dirs) for v, d, dirs in per if d == top]
 
 
 def _try_big_block_1_1(cfg: RingConfig, sym, dec):
@@ -638,17 +580,13 @@ def _try_big_block_1_1(cfg: RingConfig, sym, dec):
     return ProtocolState(Tag.BIG_BLOCK_1_1, moves, roles)
 
 
-def _closest_candidates(cfg: RingConfig, dec, target_blocks, exclude_members=False):
+def _closest_candidates(cfg: RingConfig, owner, target_blocks, exclude_members=False):
     """Robots minimizing the ring distance to a target block other than
     their own, with the directions that realize the minimum across a single
     hole.  With `exclude_members`, robots inside target blocks do not move
-    (they are joined, never left).  Returns (node, distance, directions)."""
+    (they are joined, never left).  Returns (node, directions) pairs."""
     n = cfg.n
     occ_nodes = cfg.occupied
-    owner = {}
-    for b in dec.blocks:
-        for v in b.nodes(n):
-            owner[v] = b
     target_nodes = [(v, owner[v]) for b in target_blocks for v in b.nodes(n)]
     best = None
     per_robot = {}
@@ -677,17 +615,19 @@ def _closest_candidates(cfg: RingConfig, dec, target_blocks, exclude_members=Fal
             if gap == best and owner.get(u) in target_blocks and owner.get(u) is not mine:
                 dirs.append(step)
         if dirs:
-            out.append((v, best, tuple(dirs)))
+            out.append((v, tuple(dirs)))
     return out
 
 
-def _biggest_view(cfg: RingConfig, nodes):
-    """The subset of nodes whose views are lexicographically maximal."""
-    if len(nodes) <= 1:
-        return set(nodes)
-    views = {v: compute_view(cfg, v).dists for v in nodes}
-    top = max(views.values())
-    return {v for v, dv in views.items() if dv == top}
+def _biggest_view_moves(cfg: RingConfig, cand):
+    """The moves of the candidates, (node, directions) pairs, whose views
+    are lexicographically maximal; a lone candidate needs no view."""
+    n = cfg.n
+    if len(cand) > 1:
+        views = [compute_view(cfg, v).dists for v, _ in cand]
+        top = max(views)
+        cand = [c for c, view in zip(cand, views) if view == top]
+    return {v: tuple(sorted((v + s) % n for s in dirs)) for v, dirs in cand}
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +670,7 @@ def _odd_pattern(cfg: RingConfig) -> ProtocolState:
         return _UNKNOWN
 
     if m == 3:
-        flanked = [
-            i for i in range(3) if gaps[i] == 1 and gaps[(i - 1) % 3] == 1
-        ]
+        flanked = _flanked(gaps)
         if len(flanked) != 1:
             return _UNKNOWN
         mid = flanked[0]

@@ -348,10 +348,10 @@ def decompose_blocks(cfg: RingConfig) -> BlockDecomposition:
     occ_nodes = cfg.occupied
     if len(occ_nodes) < 2:
         raise ValueError("decomposition needs at least 2 robots")
-    d = inter_distance(cfg)
     n = cfg.n
     w = len(occ_nodes)
     gaps = [(occ_nodes[(i + 1) % w] - occ_nodes[i]) % n for i in range(w)]
+    d = min(gaps)
     if all(g == d for g in gaps):
         # robots evenly spaced around the whole ring (periodic); report one
         # block so the decomposition stays a partition

@@ -203,6 +203,22 @@ class TestLocalGlobalConsistency:
             "robot at 2: local 'no rule' vs global"
         )
 
+    def test_occupancy_that_cannot_be_read_is_a_failing_verdict(self):
+        trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
+        for fields, description in [
+            ({"initial": "11111.1111!...."}, "bad occupancy character '!'"),
+            ({"initial": None}, "occupancy None is not a string"),
+            ({"initial": "", "n": 0, "k": 0}, "occupancy has no robot"),
+        ]:
+            tampered = Trace(**{**trace.__dict__, **fields})
+            assert check_local_global_consistency(tampered) == Verdict.fail(
+                0, description, tampered.initial
+            )
+        tampered = with_event(trace, 4, occ=None)
+        assert check_local_global_consistency(tampered) == Verdict.fail(
+            trace.events[4].step, "occupancy None is not a string", None
+        )
+
 
 class TestReplayRobustness:
     """A stored trace with a node that cannot be replayed gets a failing
@@ -231,23 +247,28 @@ class TestReplayRobustness:
         assert (ev.kind, ev.robot, ev.from_node) == ("activate", 5, 9)
         fire = next(e for e in trace.events[4:] if e.robot == ev.robot)
         assert (fire.kind, fire.to_node) == ("fire", None)
-        tampered = with_event(trace, 3, from_node=99)
-        self.assert_replay_fails(tampered, 3, "activate from a node off the ring")
+        # a stored node that is no integer is off the ring too
+        for node in (99, None, "9"):
+            tampered = with_event(trace, 3, from_node=node)
+            self.assert_replay_fails(tampered, 3, "activate from a node off the ring")
 
     def test_fire_to_a_node_off_the_ring(self, trace):
         ev = trace.events[10]
         assert (ev.kind, ev.from_node, ev.to_node) == ("fire", 13, 12)
-        tampered = with_event(trace, 10, to_node=99)
-        self.assert_replay_fails(tampered, 10, "fire to a node off the ring")
+        for node in (99, "12"):
+            tampered = with_event(trace, 10, to_node=node)
+            self.assert_replay_fails(tampered, 10, "fire to a node off the ring")
 
     def test_robot_that_does_not_exist(self):
         # robot 3 renamed 99 in every event: the events still replay alike,
-        # but the trace's k = 10 robots have no robot 99
+        # but the trace's k = 10 robots have no robot 99, nor one that is
+        # no integer
         trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
-        events = [ev._replace(robot=99) if ev.robot == 3 else ev for ev in trace.events]
-        tampered = Trace(**{**trace.__dict__, "events": events})
-        first = next(i for i, ev in enumerate(events) if ev.robot == 99)
-        self.assert_replay_fails(tampered, first, "no such robot")
+        first = next(i for i, ev in enumerate(trace.events) if ev.robot == 3)
+        for robot in (99, None, "3"):
+            events = [ev._replace(robot=robot) if ev.robot == 3 else ev for ev in trace.events]
+            tampered = Trace(**{**trace.__dict__, "events": events})
+            self.assert_replay_fails(tampered, first, "no such robot")
 
     @pytest.mark.parametrize("field, value", [("n", 17), ("k", 12)])
     def test_header_that_differs_from_initial(self, field, value):
@@ -260,17 +281,38 @@ class TestReplayRobustness:
         )
 
     def test_initial_that_does_not_parse(self):
+        # nor one that is no string (JSON null), or holds no robot
         trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
-        tampered = Trace(**{**trace.__dict__, "initial": "11111.1111!...."})
-        description = "bad occupancy character '!'"
-        verdicts = check_trace(tampered)
-        assert verdicts["replay"] == Verdict.fail(0, description, tampered.initial)
-        assert verdicts["outdated_bound"] == Verdict.fail(
-            0, f"replay failed: {description}", tampered.initial
+        for fields, description in [
+            ({"initial": "11111.1111!...."}, "bad occupancy character '!'"),
+            ({"initial": None}, "occupancy None is not a string"),
+            ({"initial": "", "n": 0, "k": 0}, "occupancy has no robot"),
+        ]:
+            tampered = Trace(**{**trace.__dict__, **fields})
+            verdicts = check_trace(tampered)
+            assert verdicts["replay"] == Verdict.fail(0, description, tampered.initial)
+            assert verdicts["outdated_bound"] == Verdict.fail(
+                0, f"replay failed: {description}", tampered.initial
+            )
+            # the checks that read only recorded fields go on as before
+            for name in ("no_tower_before_target", "never_periodic", "phase_monotonic"):
+                assert verdicts[name] == check_trace(trace)[name]
+
+    def test_occupancy_that_is_no_string(self, trace):
+        # the replay fails at the event; the checks that read only recorded
+        # fields treat it as an occupancy string that does not parse
+        ev = trace.events[2]
+        verdicts = check_trace(with_event(trace, 2, occ=None))
+        unparsable = check_trace(with_event(trace, 2, occ="1!"))
+        assert verdicts["replay"] == Verdict.fail(
+            ev.step, "occupancy diverged from recording", None
         )
-        # the checks that read only recorded fields go on as before
+        assert not unparsable["no_tower_before_target"]
         for name in ("no_tower_before_target", "never_periodic", "phase_monotonic"):
-            assert verdicts[name] == check_trace(trace)[name]
+            want = unparsable[name]
+            if not want.passed:  # the same failure, with the recorded None
+                want = Verdict.fail(want.violation.step, want.violation.description, None)
+            assert verdicts[name] == want, name
 
     def test_fire_from_an_emptied_node(self):
         # robots 4 and 9 both claim the one robot on node 4 of Terminal, and

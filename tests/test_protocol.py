@@ -1,5 +1,6 @@
 """Rule engine: classification, enabled moves, and the local decision path."""
 
+import hashlib
 import importlib
 import itertools
 import pkgutil
@@ -52,6 +53,23 @@ def target_15():
         occ[p] = 1
     occ[5] = 2
     return RingConfig(15, tuple(occ))
+
+
+def rule_answer(occ):
+    """Every rule answer on one occupancy, as one line: its tag, moves and
+    roles, and each robot's entry of its decision table."""
+    state = classify_protocol_state(RingConfig(len(occ), occ))
+    moves, roles = sorted(state.moves.items()), sorted(state.roles.items())
+    return repr((occ, state.tag.value, moves, roles, protocol._decisions(occ)))
+
+
+def occupancies_and_towers(n):
+    """Every nonempty occupancy of an n-ring, each followed by its variants
+    with a height-2 tower on one occupied node."""
+    for bits in range(1, 1 << n):
+        occ = tuple((bits >> i) & 1 for i in range(n))
+        yield occ
+        yield from (occ[:v] + (2,) + occ[v + 1:] for v in range(n) if occ[v])
 
 
 class TestClassification:
@@ -245,20 +263,34 @@ class TestEnabledMoves:
         # are empty for Gathered and Unknown and have ascending targets, and
         # the "movers" role lists exactly their nodes
         for n in range(1, 12, 2):
-            for bits in range(1, 1 << n):
-                occ = tuple((bits >> i) & 1 for i in range(n))
-                towered = [occ[:v] + (2,) + occ[v + 1:] for v in range(n) if occ[v]]
-                for o in [occ] + towered:
-                    a = protocol._analyze(o)
-                    assert all(o[v] == 1 for v in a.moves), o
-                    assert all(list(t) == sorted(set(t)) for t in a.moves.values()), o
-                    state = classify_protocol_state(RingConfig(n, o))
-                    assert state.moves == a.moves, o
-                    roles = state.roles
-                    if a.tag in (Tag.GATHERED, Tag.UNKNOWN):
-                        assert not a.moves and "movers" not in roles, o
-                    else:
-                        assert roles["movers"] == tuple(sorted(a.moves)), o
+            for o in occupancies_and_towers(n):
+                a = protocol._analyze(o)
+                assert all(o[v] == 1 for v in a.moves), o
+                assert all(list(t) == sorted(set(t)) for t in a.moves.values()), o
+                state = classify_protocol_state(RingConfig(n, o))
+                assert state.moves == a.moves, o
+                roles = state.roles
+                if a.tag in (Tag.GATHERED, Tag.UNKNOWN):
+                    assert not a.moves and "movers" not in roles, o
+                else:
+                    assert roles["movers"] == tuple(sorted(a.moves)), o
+
+
+# sha256 of the `rule_answer` lines of odd n = 3..11, joined by newlines
+RULE_ANSWERS_DIGEST = "ffd4a8468dbcd7bd454099f7087415eb1d5b00cb501860191b7c6473c2194ae2"
+
+
+class TestRuleAnswers:
+    def test_every_answer_on_small_odd_rings_is_pinned(self):
+        # a change to the rule engine that keeps its behaviour keeps this
+        # digest; one that changes any tag, move, role or decision does not
+        clear_caches()
+        lines = [
+            rule_answer(occ) for n in range(3, 12, 2) for occ in occupancies_and_towers(n)
+        ]
+        assert len(lines) == 16_831
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == RULE_ANSWERS_DIGEST
 
 
 class TestSymmetricPairProperty:
