@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ring import (
     RingConfig,
@@ -37,6 +37,7 @@ from .protocol import (
     Tag,
     _analyze,
     _decisions,
+    _trace_fields,
     classify_protocol_state,
 )
 from .simulate import (
@@ -45,19 +46,16 @@ from .simulate import (
     intent_is_incorrect,
     run,
     validate_params,
-    _canon_of,
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     step: int | None
     description: str
     occ: str | None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     violation: Violation | None = None
 
@@ -110,7 +108,8 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     n or k differs from it, else at the first event that disagrees with it,
     such as one naming a robot outside 0…k−1 or a node that is no integer,
     and stops there; the checks that read only recorded fields go on, and
-    treat an event's `occ` that is no string as one that does not parse.
+    treat an event's `occ` that is no string as one that does not parse,
+    and a `tag` that is no string as an unknown state.
     At most one pending intent may be incorrect (`intent_is_incorrect`) in
     Phases 1 and 2; a fresh intent equals the fresh decision, so the count
     is redone only after a robot moves, an intent is removed, or a decision
@@ -124,14 +123,17 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     if mismatch is None and (len(occ), sum(occ)) != (n, k):
         mismatch = "header n or k differs from initial"
     if mismatch is None:
-        canon = _canon_of(occ)
+        canon = _trace_fields(occ)[0]
     else:
         replay = Verdict.fail(0, mismatch, trace.initial)
         outdated = Verdict.fail(0, f"replay failed: {mismatch}", trace.initial)
     reached_p3 = False
     seen: set[str] = set()
     for step, kind, robot, src, dst, occ_s, tag, _round in trace.events:
-        phase = _PHASES.get(tag)
+        try:
+            phase = _PHASES.get(tag)
+        except TypeError:  # a JSON array or object: an unknown state
+            tag = phase = None
         occ_is_str = isinstance(occ_s, str)
         if tower is None:
             if tag in _P3_ENTRY:
@@ -184,7 +186,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                     mismatch = "fire from an empty node"
                 else:
                     occ = _move_one(occ, src, dst)
-                    canon = _canon_of(occ)
+                    canon = _trace_fields(occ)[0]
             elif entry[1]:
                 mismatch = "intent to move fired as stay"
         else:
@@ -275,7 +277,7 @@ def check_local_global_consistency(trace: Trace) -> Verdict:
     if problem is not None:
         return Verdict.fail(0, problem, trace.initial)
     seen = set()
-    for step, occ_s in [(0, _canon_of(occ))] + [(ev.step, ev.occ) for ev in trace.events]:
+    for step, occ_s in [(0, _trace_fields(occ)[0])] + [(ev.step, ev.occ) for ev in trace.events]:
         if isinstance(occ_s, str) and occ_s in seen:
             continue
         occ, problem = _parse_recorded(occ_s)
@@ -440,8 +442,7 @@ def check_all_paths_gather(cfg: RingConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
+class TransitionSpec(NamedTuple):
     targets: frozenset[Tag]
     allowed: frozenset[Tag]
     depth: int

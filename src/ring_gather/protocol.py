@@ -33,15 +33,16 @@ view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 from .ring import (
     Hole,
     RingConfig,
     View,
+    _canonical,
     _move_one,
     classify_symmetry,
     compute_view,
@@ -113,8 +114,7 @@ PHASES: dict[Tag, Phase] = {
 }
 
 
-@dataclass(frozen=True)
-class ProtocolState:
+class ProtocolState(NamedTuple):
     """A rule's answer for one configuration: its tag, its moves and the
     named roles the rule refers to.
 
@@ -172,8 +172,8 @@ def _holes_after(runs, n):
 # by plain tuples and ints: hashing a RingConfig runs in Python and costs
 # more than the lookup it keys.
 _CACHE_SIZE = 65536
-# the `clear` of each memo kept outside this module (the simulator's
-# canonical strings, the checker's proven states); `clear_caches` runs them
+# the `clear` of each memo kept outside this module (the checker's proven
+# states); `clear_caches` runs them
 _CLEAR_HOOKS: list = []
 
 
@@ -182,7 +182,8 @@ def clear_caches() -> None:
     registered in `_CLEAR_HOOKS`."""
     _analyze.cache_clear()
     _decisions.cache_clear()
-    _class_moves.cache_clear()
+    _class_state.cache_clear()
+    _trace_fields.cache_clear()
     for clear in _CLEAR_HOOKS:
         clear()
 
@@ -794,17 +795,15 @@ def reconstruct_from_view(view: View) -> RingConfig:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _class_moves(key: tuple[int, ...]):
-    """The moves of a class representative (node -> targets), or None when
-    no rule applies.
+def _class_state(key: tuple[int, ...]) -> ProtocolState:
+    """The rule answer on a class representative.
 
     The representative always has a robot on node 0, while a canonical
     occupancy string starts with '.', so it is never the placement that
     `check_local_global_consistency` runs the global rules on: that
     cross-check still compares two computations on different placements."""
     pattern = reconstruct_from_view(View(key, False))
-    state = (_odd_pattern if len(key) % 2 else _even_pattern)(pattern)
-    return None if state.tag is Tag.UNKNOWN else state.moves
+    return (_odd_pattern if len(key) % 2 else _even_pattern)(pattern)
 
 
 def local_decide(view: View):
@@ -875,31 +874,77 @@ def _decisions(occ: tuple[int, ...]) -> tuple:
         return tuple(table)
     if n % 2 == 0:
         return tuple(_NO_RULE if c else _EMPTY for c in occ)
-    gaps = tuple((nodes[(i + 1) % w] - nodes[i]) % n for i in range(w))
+    gaps, key, starts = _readings(occ, nodes)
+    state = _class_state(key)
+    if state.tag is Tag.UNKNOWN:
+        return tuple(_EMPTY if not c else () if c >= 2 else _NO_RULE for c in occ)
+    moves = state.moves
+    if len(starts[1]) + len(starts[-1]) == 1:
+        # a rigid pattern: one rotation or reflection maps every robot, so
+        # only the representative's movers are mapped
+        e = 1 if starts[1] else -1
+        origin = nodes[starts[e][0]]
+        for node in nodes:
+            table[node] = ()
+        for here, targets in moves.items():
+            node = (origin + e * here) % n
+            if occ[node] == 1:
+                table[node] = _map_targets(targets, here, origin, e, n)
+        return tuple(table)
     back = gaps[::-1]
-    # the readings from robot s: clockwise, and counter-clockwise
-    cw = [gaps[s:] + gaps[:s] for s in range(w)]
-    ccw = [back[w - s :] + back[: w - s] for s in range(w)]
-    key = max(max(cw), max(ccw))
-    moves = _class_moves(key)
-    starts = {1: [s for s in range(w) if cw[s] == key],
-              -1: [s for s in range(w) if ccw[s] == key]}
     for i, node in enumerate(nodes):
         if occ[node] >= 2:
             table[node] = ()
             continue
-        if moves is None:
-            table[node] = _NO_RULE
-            continue
         # the representative's node 0 is robot s, read in direction e
-        view_dir = 1 if cw[i] >= ccw[i] else -1
+        view_dir = 1 if gaps[i:] + gaps[:i] >= back[w - i :] + back[: w - i] else -1
         e = view_dir if starts[view_dir] else -view_dir
         s = min(starts[e], key=lambda s: (s - i) * e % w)
         here = (node - nodes[s]) * e % n
-        targets = moves.get(here, ())
-        if targets:  # most robots stay: skip the mapping for them
-            if any((t - here) % n not in (1, n - 1) for t in targets):
-                raise AssertionError(f"non-adjacent move target {targets}")
-            targets = tuple(sorted((node + e * (t - here)) % n for t in targets))
-        table[node] = targets
+        targets = moves.get(here)
+        # most robots stay: skip the mapping for them
+        table[node] = _map_targets(targets, here, nodes[s], e, n) if targets else ()
     return tuple(table)
+
+
+def _readings(occ: tuple[int, ...], nodes: tuple[int, ...]):
+    """The gap cycle of ``occ``, from the robot on ``nodes[0]`` clockwise;
+    the class key, the largest of the 2w readings of the cycle, from each
+    robot clockwise and counter-clockwise; and, by direction (1 or -1),
+    the robots whose reading equals the key, ascending."""
+    n, w = len(occ), len(nodes)
+    gaps = tuple((nodes[(i + 1) % w] - nodes[i]) % n for i in range(w))
+    back = gaps[::-1]
+    top = max(gaps)
+    # a reading begins with a gap next to its robot: only those that begin
+    # with the largest gap can equal the key
+    cw = {s: gaps[s:] + gaps[:s] for s in range(w) if gaps[s] == top}
+    ccw = {s: back[w - s :] + back[: w - s] for s in range(w) if gaps[s - 1] == top}
+    key = max(*cw.values(), *ccw.values())
+    starts = {e: [s for s, reading in readings.items() if reading == key]
+              for e, readings in ((1, cw), (-1, ccw))}
+    return gaps, key, starts
+
+
+def _map_targets(targets, here, origin, e, n):
+    """A representative robot's targets, from node ``here``, on the ring
+    that node i of the representative maps to as origin + e·i."""
+    if any((t - here) % n not in (1, n - 1) for t in targets):
+        raise AssertionError(f"non-adjacent move target {targets}")
+    return tuple(sorted((origin + e * t) % n for t in targets))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _trace_fields(occ: tuple[int, ...]) -> tuple[str, str]:
+    """The canonical occupancy string and the tag a trace records for
+    ``occ``.  A towerless pattern of even width on an odd ring reads both
+    off its class key: the least string is that of the largest gap
+    reading, ``.`` × (g − 1) then ``1`` for each gap g, and the tag is the
+    representative's (`_class_state`).  Any other occupancy is scanned by
+    `ring._canonical` and classified by `_analyze`."""
+    nodes = tuple(compress(range(len(occ)), occ))
+    w = len(nodes)
+    if len(occ) % 2 and w and w % 2 == 0 and w == sum(occ):
+        key = _readings(occ, nodes)[1]
+        return "".join("." * (g - 1) + "1" for g in key), _class_state(key).tag.value
+    return _canonical(occ), _analyze(occ).tag.value

@@ -15,14 +15,14 @@ This module is purely geometric and protocol-agnostic.  It provides:
 * inter-distance and d.block decomposition,
 * a canonical form under the 2n ring automorphisms, used as a dedup key.
 
-All functions are pure; `RingConfig` and the derived records are immutable.
+All functions are pure.  The derived records are named tuples, and no
+function changes a `RingConfig` after its construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 # Occupancy-string alphabet, indexed by robot count.  The protocol grid uses
 # k = 10, whose gathered state needs a count above 9, so counts 10..35 render
@@ -57,7 +57,6 @@ def _move_one(occ: tuple[int, ...], src: int, dst: int) -> tuple[int, ...]:
     return tuple(nxt)
 
 
-@dataclass(frozen=True)
 class RingConfig:
     """Occupancy of an n-node ring: ``occ[i]`` robots on node i.
 
@@ -65,22 +64,30 @@ class RingConfig:
     ascending) are computed once on construction; equality and hashing
     read only ``n`` and ``occ``."""
 
-    n: int
-    occ: tuple[int, ...]
-    k: int = field(init=False, compare=False, repr=False)
-    occupied: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "occ", "k", "occupied")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, occ: tuple[int, ...]):
+        if n < 1:
             raise ValueError("ring needs at least one node")
-        if len(self.occ) != self.n:
+        if len(occ) != n:
             raise ValueError("occupancy length differs from node count")
-        if min(self.occ) < 0:
+        if min(occ) < 0:
             raise ValueError("negative robot count")
-        if not isinstance(self.occ, tuple):
-            object.__setattr__(self, "occ", tuple(self.occ))
-        object.__setattr__(self, "k", sum(self.occ))
-        object.__setattr__(self, "occupied", tuple(compress(range(self.n), self.occ)))
+        self.n = n
+        self.occ = occ = occ if isinstance(occ, tuple) else tuple(occ)
+        self.k = sum(occ)
+        self.occupied = tuple(compress(range(n), occ))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.occ == other.occ
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.occ))
+
+    def __repr__(self) -> str:
+        return f"RingConfig(n={self.n!r}, occ={self.occ!r})"
 
     @classmethod
     def from_positions(cls, n: int, positions) -> "RingConfig":
@@ -98,7 +105,7 @@ class RingConfig:
     def towerless(self) -> bool:
         return self.k == len(self.occupied)
 
-    @cached_property
+    @property
     def towers(self) -> tuple[int, ...]:
         """Nodes hosting two or more robots."""
         return tuple(i for i, c in enumerate(self.occ) if c >= 2)
@@ -110,8 +117,7 @@ class RingConfig:
         return self.to_string()
 
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(NamedTuple):
     """Maximal run of consecutive empty nodes."""
 
     start: int
@@ -124,8 +130,7 @@ class Hole:
         return (node - self.start) % n < self.size
 
 
-@dataclass(frozen=True)
-class View:
+class View(NamedTuple):
     """What a robot perceives: the direction-maximal sequence of segment
     distances read from its own node, and whether its own node is a tower.
 
@@ -138,8 +143,7 @@ class View:
     tower_here: bool
 
 
-@dataclass(frozen=True)
-class SymmetryInfo:
+class SymmetryInfo(NamedTuple):
     """Automorphism classification of a configuration.
 
     ``cfg_class`` is ``"periodic"`` when a nontrivial rotation fixes the
@@ -172,8 +176,7 @@ class SymmetryInfo:
         return self.cfg_class == "periodic"
 
 
-@dataclass(frozen=True)
-class DBlock:
+class DBlock(NamedTuple):
     """Maximal run of robots spaced exactly ``step`` edges apart."""
 
     start: int
@@ -187,8 +190,7 @@ class DBlock:
         return (self.start, (self.start + (self.size - 1) * self.step) % n)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """d.block structure of a towerless configuration."""
 
     d: int

@@ -28,32 +28,27 @@ counts as a completed move phase).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import compress
 from operator import not_
 from random import Random
 from typing import NamedTuple
 
-from .ring import _MAX_COUNT, RingConfig, _canonical, _move_one, classify_symmetry
+from .ring import _MAX_COUNT, RingConfig, _move_one, classify_symmetry
 from .protocol import (
     PHASES,
     NoRuleError,
     Phase,
     Tag,
-    _CACHE_SIZE,
-    _CLEAR_HOOKS,
-    _analyze,
     _decide,
     _decisions,
+    _trace_fields,
     classify_protocol_state,
 )
 
 DEFAULT_MAX_STEPS = 400_000
 
 
-@dataclass(frozen=True)
-class PendingIntent:
+class PendingIntent(NamedTuple):
     """A computed but not yet executed move.
 
     `target` holds the robot's target nodes, ascending, as its decision
@@ -177,19 +172,30 @@ class TraceEvent(NamedTuple):
     round: int
 
 
-@dataclass
 class Trace:
-    """Record of one run: enough to replay it and to check every lemma."""
+    """Record of one run: enough to replay it and to check every lemma.
 
-    n: int
-    k: int
-    scheduler: str
-    seed: int | None
-    fairness_bound: int
-    initial: str  # raw occupancy string of the start configuration
-    events: list[TraceEvent] = field(default_factory=list)
-    outcome: str = "StepLimit"  # "Gathered" | "StepLimit" | "Stuck"
-    rounds: int = 0
+    `outcome` is "Gathered", "StepLimit" or "Stuck"; `initial` is the raw
+    occupancy string of the start configuration.  Two traces are equal
+    when all their fields are."""
+
+    def __init__(self, n: int, k: int, scheduler: str, seed: int | None,
+                 fairness_bound: int, initial: str, events: list[TraceEvent] | None = None,
+                 outcome: str = "StepLimit", rounds: int = 0):
+        self.n = n
+        self.k = k
+        self.scheduler = scheduler
+        self.seed = seed
+        self.fairness_bound = fairness_bound
+        self.initial = initial
+        self.events = [] if events is None else events
+        self.outcome = outcome
+        self.rounds = rounds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
     def to_jsonl(self) -> str:
         lines = [
@@ -217,42 +223,21 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
+        """Parse `to_jsonl` output.  A field that a line lacks reads as
+        null, which `check_trace` judges; text without both a header and a
+        footer line raises `ValueError`."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = json.loads(lines[0])
-        foot = json.loads(lines[-1])
+        if len(lines) < 2:
+            raise ValueError("a trace needs a header line and a footer line")
+        head, foot = json.loads(lines[0]), json.loads(lines[-1])
         trace = cls(
-            n=head["n"],
-            k=head["k"],
-            scheduler=head["scheduler"],
-            seed=head["seed"],
-            fairness_bound=head["fairness_bound"],
-            initial=head["initial"],
-            outcome=foot["outcome"],
-            rounds=foot["rounds"],
+            *map(head.get, ("n", "k", "scheduler", "seed", "fairness_bound", "initial")),
+            outcome=foot.get("outcome"),
+            rounds=foot.get("rounds"),
         )
-        for ln in lines[1:-1]:
-            d = json.loads(ln)
-            trace.events.append(
-                TraceEvent(
-                    d["step"],
-                    d["kind"],
-                    d["robot"],
-                    d["from"],
-                    d["to"],
-                    d["occ"],
-                    d["tag"],
-                    d["round"],
-                )
-            )
+        fields = ("step", "kind", "robot", "from", "to", "occ", "tag", "round")
+        trace.events = [TraceEvent(*map(json.loads(ln).get, fields)) for ln in lines[1:-1]]
         return trace
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _canon_of(occ: tuple[int, ...]) -> str:
-    return _canonical(occ)
-
-
-_CLEAR_HOOKS.append(_canon_of.cache_clear)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +292,8 @@ class SynchronousScheduler(Scheduler):
     name = "synchronous"
 
     def propose(self, sim: _Sim) -> int:
-        # scans by truth value (an intent is always true): comparing with
-        # None would call the dataclass's __eq__ on every intent
+        # scans by truth value, in C: an intent, a tuple of three fields,
+        # is always true
         pending = sim.pending
         wave = pending if pending[0] is None else map(not_, pending)
         return next(compress(range(sim.k), wave), 0)
@@ -469,7 +454,7 @@ def run(
     # starved peers flush theirs before the bound trips
     slack = 2 * sim.k
     events = trace.events
-    canon, tag = _canon_of(sim.occ), _analyze(sim.occ).tag.value
+    canon, tag = _trace_fields(sim.occ)
     while True:
         if sim.gathered():
             trace.outcome = "Gathered"
@@ -493,7 +478,7 @@ def run(
             trace.outcome = "Stuck"
             break
         if to_node is not None:
-            canon, tag = _canon_of(sim.occ), _analyze(sim.occ).tag.value
+            canon, tag = _trace_fields(sim.occ)
         kind = "activate" if intent is None else "fire"
         events.append(TraceEvent(sim.step, kind, robot, from_node, to_node, canon, tag, sim.round))
         # after a move, no robot can change the configuration again when

@@ -19,12 +19,12 @@ from ring_gather.protocol import (
     NoRuleError,
     Phase,
     Tag,
-    _class_moves,
+    _class_state,
     decide_targets,
     phase_of,
 )
-from ring_gather.ring import parse_occupancy
-from ring_gather.simulate import Trace, _canon_of, intent_is_incorrect
+from ring_gather.ring import _canonical, parse_occupancy
+from ring_gather.simulate import Trace, intent_is_incorrect
 
 
 def rotate(occ, r):
@@ -211,10 +211,10 @@ def per_robot_decision(occ, node):
         key, rep, flipped = _view_class(dists)
     else:
         key, rep, flipped = dists, 0, False
-    moves = _class_moves(key)
-    if moves is None:
+    state = _class_state(key)
+    if state.tag is Tag.UNKNOWN:
         raise NoRuleError("no rule")
-    mine = moves.get(rep)
+    mine = state.moves.get(rep)
     if not mine:
         return ()
     steps = {(t - rep) % n for t in mine}
@@ -287,7 +287,7 @@ class _Replay:
             else:
                 mismatch = f"unknown event kind {ev.kind!r}"
             occ = tuple(self.occ)
-            if _canon_of(occ) != ev.occ:
+            if _canonical(occ) != ev.occ:
                 mismatch = mismatch or "occupancy diverged from recording"
             yield ev, mismatch
 

@@ -314,6 +314,18 @@ class TestReplayRobustness:
                 want = Verdict.fail(want.violation.step, want.violation.description, None)
             assert verdicts[name] == want, name
 
+    @pytest.mark.parametrize("tag", [None, ["Terminal"], {"a": 1}])
+    def test_tag_that_is_no_string(self, tag):
+        # a tag that JSON reads as null, an array or an object names no
+        # state: the checks judge it as they judge an unknown tag string
+        trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
+        ev = trace.events[2]
+        verdicts = check_trace(with_event(trace, 2, tag=tag))
+        assert verdicts == check_trace(with_event(trace, 2, tag="Bogus"))
+        assert verdicts["phase_monotonic"] == Verdict.fail(
+            ev.step, "unknown state reached", ev.occ
+        )
+
     def test_fire_from_an_emptied_node(self):
         # robots 4 and 9 both claim the one robot on node 4 of Terminal, and
         # both fire its move to node 5

@@ -106,6 +106,20 @@ def test_closed_stdout_ends_quietly():
     assert proc.returncode == 1
 
 
+def test_import_loads_no_dataclass_machinery():
+    # every CLI run pays for the imports: `dataclasses` would bring
+    # `inspect`, and with it `ast`, `dis` and `tokenize`
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, ring_gather.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.stdout, proc.stderr) == ("[]\n", "")
+
+
 def test_simulate_rejects_exhaustive():
     with pytest.raises(SystemExit):
         main(["simulate", "--occ", TERMINAL, "--scheduler", "exhaustive"])

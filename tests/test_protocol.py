@@ -32,7 +32,7 @@ from ring_gather.protocol import (
     reconstruct_from_view,
 )
 from ring_gather.checker import build_phase2_instances, enumerate_initial_configs
-from ring_gather.ring import parse_occupancy
+from ring_gather.ring import _canonical, parse_occupancy
 from ring_gather.simulate import builtin_scheduler, run
 
 from oracles import brute_view, per_robot_decision
@@ -501,6 +501,17 @@ class TestDecisionTable:
             with pytest.raises(NoRuleError):
                 decide_targets(cfg, node)
 
+    def test_trace_fields_read_off_the_class_key(self):
+        # a towerless pattern of even width takes its canonical string and
+        # tag from its class key; both equal the full scan and classification
+        clear_caches()
+        for n in range(3, 14, 2):
+            for bits in range(1, 1 << n):
+                occ = tuple((bits >> i) & 1 for i in range(n))
+                if sum(occ) % 2 == 0:
+                    want = (_canonical(occ), protocol._analyze(occ).tag.value)
+                    assert protocol._trace_fields(occ) == want, occ
+
     def test_table_is_bounded_and_cleared(self):
         # every memo in the package, found by its lru_cache wrapper
         caches = {}
@@ -509,12 +520,12 @@ class TestDecisionTable:
             for obj in vars(mod).values():
                 if hasattr(obj, "cache_info"):
                     caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
-        assert {
+        assert set(caches) == {
             "ring_gather.protocol._analyze",
             "ring_gather.protocol._decisions",
-            "ring_gather.protocol._class_moves",
-            "ring_gather.simulate._canon_of",
-        } <= set(caches)
+            "ring_gather.protocol._class_state",
+            "ring_gather.protocol._trace_fields",
+        }
         for name, fn in caches.items():
             assert fn.cache_info().maxsize == protocol._CACHE_SIZE, name
         trace = run(RingConfig.from_string(".....1111111111"),

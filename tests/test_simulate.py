@@ -441,3 +441,34 @@ class TestTraceSerialization:
         assert set(ev) == {"step", "kind", "robot", "from", "to", "occ", "tag", "round"}
         foot = json.loads(lines[-1])
         assert set(foot) == {"outcome", "rounds"}
+
+    def test_header_without_fields(self):
+        # a missing field reads as null, and the replay judges the header
+        trace = Trace.from_jsonl('{"n": 15}\n{"outcome": "Gathered", "rounds": 1}\n')
+        assert (trace.n, trace.k, trace.initial, trace.events) == (15, None, None, [])
+        assert (trace.outcome, trace.rounds) == ("Gathered", 1)
+        assert check_trace(trace)["replay"].violation == (0, "occupancy None is not a string", None)
+        trace = Trace.from_jsonl(
+            '{"n": 15, "initial": "11111.11111...."}\n{"outcome": "Gathered", "rounds": 1}\n'
+        )
+        assert check_trace(trace)["replay"].violation == (
+            0, "header n or k differs from initial", "11111.11111...."
+        )
+
+    def test_event_without_occupancy(self):
+        import json
+
+        lines = run(TERMINAL_15, builtin_scheduler("random", 3)).to_jsonl().splitlines()
+        event = json.loads(lines[3])
+        del event["occ"]
+        lines[3] = json.dumps(event)
+        trace = Trace.from_jsonl("\n".join(lines))
+        assert trace.events[2].occ is None
+        assert check_trace(trace)["replay"].violation == (
+            event["step"], "occupancy diverged from recording", None
+        )
+
+    @pytest.mark.parametrize("text", ["", "\n", '{"n": 15}\n'])
+    def test_text_without_header_and_footer(self, text):
+        with pytest.raises(ValueError, match="header line and a footer line"):
+            Trace.from_jsonl(text)
