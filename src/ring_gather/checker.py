@@ -111,9 +111,14 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     treat an event's `occ` that is no string as one that does not parse,
     and a `tag` that is no string as an unknown state.
     At most one pending intent may be incorrect (`intent_is_incorrect`) in
-    Phases 1 and 2; a fresh intent equals the fresh decision, so the count
-    is redone only after a robot moves, an intent is removed, or a decision
-    finds no rule.
+    Phases 1 and 2; a fresh intent equals the fresh decision and a Stay is
+    never incorrect, so the count is redone only after an intent with a
+    target fires or a decision finds no rule.
+
+    Per move, the replay looks up its occupancy's decision table once.  The
+    checks of the recorded fields run only on an event whose `(occ, tag)`
+    differs from the previous event's: on the same pair their verdicts
+    cannot change.
     """
     n, k = trace.n, trace.k
     pending: dict[int, tuple[int, object]] = {}  # robot -> (node, targets or _NO_RULE)
@@ -123,35 +128,38 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     if mismatch is None and (len(occ), sum(occ)) != (n, k):
         mismatch = "header n or k differs from initial"
     if mismatch is None:
-        canon = _trace_fields(occ)[0]
+        canon, table = _trace_fields(occ)[0], _decisions(occ)
     else:
         replay = Verdict.fail(0, mismatch, trace.initial)
         outdated = Verdict.fail(0, f"replay failed: {mismatch}", trace.initial)
     reached_p3 = False
     seen: set[str] = set()
+    last_occ = last_tag = object()  # equal to no recorded field
     for step, kind, robot, src, dst, occ_s, tag, _round in trace.events:
-        try:
-            phase = _PHASES.get(tag)
-        except TypeError:  # a JSON array or object: an unknown state
-            tag = phase = None
-        occ_is_str = isinstance(occ_s, str)
-        if tower is None:
-            if tag in _P3_ENTRY:
-                tower = _PASS
-            elif not (occ_is_str and _TOWERLESS.issuperset(occ_s)):
-                tower = Verdict.fail(step, "tower before Phase 3", occ_s)
-        if periodic is None and occ_is_str and occ_s not in seen:
-            seen.add(occ_s)
-            towerless = "1" in occ_s and _TOWERLESS.issuperset(occ_s)
-            if towerless and rotations_fixing(parse_occupancy(occ_s)):
-                periodic = Verdict.fail(step, "periodic configuration reached", occ_s)
-        if monotonic is None:
-            if phase is None:
-                monotonic = Verdict.fail(step, "unknown state reached", occ_s)
-            elif phase is Phase.PHASE3 or phase is Phase.DONE:
-                reached_p3 = True
-            elif reached_p3:
-                monotonic = Verdict.fail(step, f"fell back to {tag}", occ_s)
+        if occ_s != last_occ or tag != last_tag:
+            last_occ, last_tag = occ_s, tag
+            try:
+                phase = _PHASES.get(tag)
+            except TypeError:  # a JSON array or object: an unknown state
+                tag = phase = None
+            occ_is_str = isinstance(occ_s, str)
+            if tower is None:
+                if tag in _P3_ENTRY:
+                    tower = _PASS
+                elif not (occ_is_str and _TOWERLESS.issuperset(occ_s)):
+                    tower = Verdict.fail(step, "tower before Phase 3", occ_s)
+            if periodic is None and occ_is_str and occ_s not in seen:
+                seen.add(occ_s)
+                towerless = "1" in occ_s and _TOWERLESS.issuperset(occ_s)
+                if towerless and rotations_fixing(parse_occupancy(occ_s)):
+                    periodic = Verdict.fail(step, "periodic configuration reached", occ_s)
+            if monotonic is None:
+                if phase is None:
+                    monotonic = Verdict.fail(step, "unknown state reached", occ_s)
+                elif phase is Phase.PHASE3 or phase is Phase.DONE:
+                    reached_p3 = True
+                elif reached_p3:
+                    monotonic = Verdict.fail(step, f"fell back to {tag}", occ_s)
         if replay is not None:
             continue
         mismatch = None
@@ -165,7 +173,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
             elif not occ[src]:
                 mismatch = "activate from an empty node"
             else:
-                target = _decisions(occ)[src]
+                target = table[src]
                 pending[robot] = (src, target)
                 if target is _NO_RULE:
                     recount = True
@@ -173,7 +181,6 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 mismatch = mismatch or "activate with a target node"
         elif kind == "fire":
             entry = pending.pop(robot, None)
-            recount = True
             if entry is None:
                 mismatch = "fire without intent"
             elif dst is not None:
@@ -186,7 +193,8 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                     mismatch = "fire from an empty node"
                 else:
                     occ = _move_one(occ, src, dst)
-                    canon = _trace_fields(occ)[0]
+                    canon, table = _trace_fields(occ)[0], _decisions(occ)
+                    recount = True
             elif entry[1]:
                 mismatch = "intent to move fired as stay"
         else:
@@ -259,9 +267,14 @@ def check_phase_monotonic(trace: Trace) -> Verdict:
 
 
 def check_round_bound(trace: Trace, c: int = 20) -> Verdict:
-    """The run must gather within c·n² asynchronous rounds."""
+    """The run must gather within c·n² asynchronous rounds.  A stored
+    trace whose n or rounds is no integer fails, naming the field."""
     if trace.outcome != "Gathered":
         return Verdict.fail(None, f"outcome {trace.outcome}, not Gathered", None)
+    for field in ("n", "rounds"):
+        value = getattr(trace, field)
+        if type(value) is not int:
+            return Verdict.fail(None, f"{field} {value!r} is not an integer", None)
     bound = c * trace.n * trace.n
     if trace.rounds > bound:
         return Verdict.fail(None, f"{trace.rounds} rounds > {bound}", None)

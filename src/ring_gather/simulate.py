@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 from .ring import _MAX_COUNT, RingConfig, _move_one, classify_symmetry
 from .protocol import (
+    _NO_RULE,
     PHASES,
     NoRuleError,
     Phase,
@@ -84,14 +85,15 @@ def intent_is_incorrect(occ: tuple[int, ...], node: int, target) -> bool:
 
 
 class _Sim:
-    """The simulator's state: the occupancy tuple, per-robot positions and
-    pending intents, plus step/round accounting.  `run` drives it through
-    `apply`; schedulers read it."""
+    """The simulator's state: the occupancy tuple and its decision table,
+    per-robot positions and pending intents, plus step/round accounting.
+    `run` drives it through `apply`; schedulers read it."""
 
     __slots__ = (
         "n",
         "k",
         "occ",
+        "table",
         "width",
         "positions",
         "pending",
@@ -104,6 +106,7 @@ class _Sim:
     def __init__(self, cfg: RingConfig):
         self.n = cfg.n
         self.occ = cfg.occ
+        self.table = _decisions(cfg.occ)  # every robot's decision, by node
         self.width = len(cfg.occupied)  # occupied nodes
         self.positions = [node for node, count in enumerate(cfg.occ) for _ in range(count)]
         self.k = len(self.positions)
@@ -120,42 +123,41 @@ class _Sim:
         the intent leaves the direction to the scheduler.  Returns
         (from_node, to_node) with to_node None for activations and cleared
         Stay intents.  An action that is rejected (`ValueError`, or
-        `NoRuleError` from the decision) leaves the state as it was."""
+        `NoRuleError` when the robot has no rule) leaves the state as it
+        was.  The decision table changes only with the occupancy, so it is
+        looked up once per move, not once per activation."""
         if not 0 <= robot < self.k:
             raise ValueError("scheduler contract violation: no such robot")
         node = self.positions[robot]
         intent = self.pending[robot]
         if intent is None:
-            target = _decide(self.occ, node)
+            target = self.table[node]
+            if target is _NO_RULE:
+                raise NoRuleError("no rule")
             self.step += 1
             self.pending[robot] = PendingIntent(self.step, self.occ, target)
             return node, None
         targets = intent.target
         if len(targets) > 1 and direction not in targets:
             raise ValueError("scheduler contract violation: direction needed")
-        self.step += 1
+        step = self.step = self.step + 1
         self.pending[robot] = None
-        self._complete_move_phase(robot)
+        # the robot completed a move phase: it becomes the newest
+        last_cycle = self.last_cycle
+        del last_cycle[robot]
+        last_cycle[robot] = step
+        # a round ends once even the oldest move phase is newer than its start
+        if next(iter(last_cycle.values())) > self.round_start:
+            self.round += 1
+            self.round_start = step
         if not targets:
             return node, None
         target = direction if len(targets) > 1 else targets[0]
         occ = self.occ = _move_one(self.occ, node, target)
+        self.table = _decisions(occ)
         self.width += (occ[target] == 1) - (occ[node] == 0)
         self.positions[robot] = target
         return node, target
-
-    def _complete_move_phase(self, robot: int):
-        last_cycle = self.last_cycle
-        del last_cycle[robot]
-        last_cycle[robot] = self.step
-        # a round ends once even the oldest move phase is newer than its start
-        if next(iter(last_cycle.values())) > self.round_start:
-            self.round += 1
-            self.round_start = self.step
-
-    def starved(self) -> int:
-        """The robot whose last completed move phase is oldest."""
-        return next(iter(self.last_cycle))
 
     def gathered(self) -> bool:
         return self.width == 1
@@ -224,20 +226,27 @@ class Trace:
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse `to_jsonl` output.  A field that a line lacks reads as
-        null, which `check_trace` judges; text without both a header and a
-        footer line raises `ValueError`."""
+        null, which `check_trace` judges, and a line that is no JSON object
+        lacks every field; text without both a header and a footer line
+        raises `ValueError`."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) < 2:
             raise ValueError("a trace needs a header line and a footer line")
-        head, foot = json.loads(lines[0]), json.loads(lines[-1])
+        head, foot = _json_object(lines[0]), _json_object(lines[-1])
         trace = cls(
             *map(head.get, ("n", "k", "scheduler", "seed", "fairness_bound", "initial")),
             outcome=foot.get("outcome"),
             rounds=foot.get("rounds"),
         )
         fields = ("step", "kind", "robot", "from", "to", "occ", "tag", "round")
-        trace.events = [TraceEvent(*map(json.loads(ln).get, fields)) for ln in lines[1:-1]]
+        trace.events = [TraceEvent(*map(_json_object(ln).get, fields)) for ln in lines[1:-1]]
         return trace
+
+
+def _json_object(line: str) -> dict:
+    """A JSON line's object, or no fields when the line is another value."""
+    value = json.loads(line)
+    return value if isinstance(value, dict) else {}
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +285,7 @@ def _pending_robots(sim: _Sim):
 def _enabled_idle(sim: _Sim):
     """Idle robots whose decision is not Stay; a robot with no rule counts,
     so activating it ends the run `Stuck`."""
-    table, positions = _decisions(sim.occ), sim.positions
+    table, positions = sim.table, sim.positions
     return [r for r in _idle_robots(sim) if table[positions[r]]]
 
 
@@ -334,7 +343,13 @@ class RandomFairScheduler(_SeededScheduler):
     name = "random"
 
     def propose(self, sim: _Sim) -> int:
-        return self._rng.choice(_idle_robots(sim) + _pending_robots(sim))
+        idle, busy = [], []
+        for robot, intent in enumerate(sim.pending):
+            if intent is None:
+                idle.append(robot)
+            else:
+                busy.append(robot)
+        return self._rng.choice(idle + busy)
 
 
 class LazyScheduler(_SeededScheduler):
@@ -452,39 +467,43 @@ def run(
     scheduler.start(sim)
     # a robot must be able to finish its cycle (2 actions) plus let already
     # starved peers flush theirs before the bound trips
-    slack = 2 * sim.k
-    events = trace.events
+    patience = bound - 2 * sim.k
+    k, pending, last_cycle = sim.k, sim.pending, sim.last_cycle
+    apply, propose, append = sim.apply, scheduler.propose, trace.events.append
     canon, tag = _trace_fields(sim.occ)
     while True:
-        if sim.gathered():
+        if sim.width == 1:
             trace.outcome = "Gathered"
             break
-        if sim.step >= max_steps:
+        step = sim.step
+        if step >= max_steps:
             trace.outcome = "StepLimit"
             break
-        robot = sim.starved()
-        if sim.step - sim.last_cycle[robot] < bound - slack:
-            robot = scheduler.propose(sim)
+        robot = next(iter(last_cycle))  # the most starved robot
+        if step - last_cycle[robot] < patience:
+            robot = propose(sim)
         # a robot that does not exist has no intent, and `apply` rejects it
-        intent = sim.pending[robot] if 0 <= robot < sim.k else None
+        intent = pending[robot] if 0 <= robot < k else None
         direction = None
         if intent is not None and len(intent.target) > 1:
             direction = scheduler.choose_direction(sim, robot)
         try:
-            from_node, to_node = sim.apply(robot, direction)
+            from_node, to_node = apply(robot, direction)
         except NoRuleError:
             # a state outside the protocol's rule set was reached; the
             # checker treats any Stuck outcome as a failure
             trace.outcome = "Stuck"
             break
-        if to_node is not None:
-            canon, tag = _trace_fields(sim.occ)
-        kind = "activate" if intent is None else "fire"
-        events.append(TraceEvent(sim.step, kind, robot, from_node, to_node, canon, tag, sim.round))
+        if to_node is None:
+            kind = "activate" if intent is None else "fire"
+            append(TraceEvent(sim.step, kind, robot, from_node, None, canon, tag, sim.round))
+            continue
+        canon, tag = _trace_fields(sim.occ)
+        append(TraceEvent(sim.step, "fire", robot, from_node, to_node, canon, tag, sim.round))
         # after a move, no robot can change the configuration again when
         # every occupied node's decision is Stay and no intent has a target
-        if to_node is not None and _decisions(sim.occ).count(()) == sim.width:
-            if not sim.gathered() and all(p is None or not p.target for p in sim.pending):
+        if sim.table.count(()) == sim.width and sim.width > 1:
+            if all(p is None or not p.target for p in pending):
                 trace.outcome = "Stuck"
                 break
     trace.rounds = sim.round

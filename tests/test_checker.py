@@ -1,6 +1,8 @@
 """Lemma checkers: enumeration, trace checks, transitions, replay."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -148,6 +150,16 @@ class TestTraceChecks:
         gathered = make_trace([], "a..............", outcome="Gathered", rounds=0)
         assert check_round_bound(gathered, 1)
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"n": 15, "k": 10}\n{"outcome": "Gathered"}\n', "rounds"),
+        ('{"n": null, "k": 10}\n{"outcome": "Gathered", "rounds": 1}\n', "n"),
+    ])
+    def test_round_bound_on_an_unreadable_field(self, text, field):
+        # a stored footer without rounds, or a header whose n is null
+        assert check_round_bound(Trace.from_jsonl(text)) == Verdict.fail(
+            None, f"{field} None is not an integer", None
+        )
+
     def test_outdated_bound_on_adversarial_run(self):
         trace = run(TERMINAL_15, builtin_scheduler("lazy", 1))
         assert check_outdated_bound(trace)
@@ -258,6 +270,15 @@ class TestReplayRobustness:
         for node in (99, "12"):
             tampered = with_event(trace, 10, to_node=node)
             self.assert_replay_fails(tampered, 10, "fire to a node off the ring")
+
+    @pytest.mark.parametrize("line", ["[2]", "null", "7"])
+    def test_event_line_that_is_no_object(self, trace, line):
+        # a JSON value that is no object reads as an event without fields
+        lines = trace.to_jsonl().splitlines()
+        lines[3] = line
+        stored = Trace.from_jsonl("\n".join(lines))
+        assert stored.events[2] == TraceEvent(*[None] * 8)
+        self.assert_replay_fails(stored, 2, "no such robot")
 
     def test_robot_that_does_not_exist(self):
         # robot 3 renamed 99 in every event: the events still replay alike,
@@ -404,6 +425,32 @@ class TestPinnedVerdicts:
         assert all(verdicts.values())
 
 
+def test_battery_traces_and_verdicts_are_pinned(traces_15):
+    """The benchmark's battery at (15, 10): the JSONL of its 770 runs, byte
+    for byte, and the tally of their `check_trace` verdicts."""
+    text = "".join(trace.to_jsonl() for trace in traces_15)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "76a6147fa59007100fa6d57561775460c91b269b3a75b6ffd8c3ab75a0fc9e67"
+    )
+    failed = Counter(
+        name for trace in traces_15 for name, v in check_trace(trace).items() if not v.passed
+    )
+    assert failed == {"no_tower_before_target": 2, "outdated_bound": 2, "phase_monotonic": 2}
+
+
+# the phase of each tag string a trace records
+PHASE_OF = {tag.value: phase for tag, phase in protocol.PHASES.items()}
+
+
+def _pending_before(trace):
+    """For each event, the robots with a pending intent just before it."""
+    pending, out = set(), []
+    for ev in trace.events:
+        out.append(frozenset(pending))
+        (pending.add if ev.kind == "activate" else pending.discard)(ev.robot)
+    return out
+
+
 class TestSinglePassMatchesReference:
     """`check_trace` against the five separate walkers of `oracles`."""
 
@@ -455,6 +502,62 @@ class TestSinglePassMatchesReference:
             "unknown event kind 'look'",
             "occupancy diverged from recording",
         }
+
+    def test_tag_changed_on_a_repeated_occupancy(self, traces_15):
+        # the checks of the recorded fields skip an event whose (occ, tag)
+        # repeats the previous event's; one that keeps the occupancy but
+        # changes its tag is judged anew: first in any phase, then after
+        # Phase 3, where a Phase-1 tag falls back
+        falls_back = 0
+        for trace in traces_15[::11]:  # 70 runs, each schedule 10 times
+            events = trace.events
+            repeated = [i for i in range(1, len(events)) if events[i].occ == events[i - 1].occ]
+            p3 = next(
+                (i for i, ev in enumerate(events) if PHASE_OF.get(ev.tag) is protocol.Phase.PHASE3),
+                len(events),
+            )
+            after_p3 = [i for i in repeated if i > p3]
+            for index in {repeated[0], *after_p3[:1]}:
+                for tag in ("BigBlock2", "Bogus", ["Terminal"]):
+                    tampered = with_event(trace, index, tag=tag)
+                    # the reference reads only tag strings: an array is
+                    # judged as the unknown string "Bogus" is
+                    want = reference_verdicts(
+                        with_event(trace, index, tag="Bogus") if tag == ["Terminal"] else tampered
+                    )
+                    assert check_trace(tampered) == want, (trace.initial, trace.scheduler, index)
+                    if tag == "BigBlock2" and index > p3:
+                        assert want["phase_monotonic"] == Verdict.fail(
+                            events[index].step, "fell back to BigBlock2", events[index].occ
+                        )
+                        falls_back += 1
+        assert falls_back == 70  # every sampled run reaches Phase 3
+
+    def test_stay_fire_dropped_or_turned_into_a_move(self, traces_15):
+        # the outdated-robot count is not redone after a Stay fires, since a
+        # Stay is never incorrect; a Stay fire in Phase 1 or 2 with two other
+        # intents pending is dropped, or fired to a neighbour instead
+        compared = Counter()
+        for trace in traces_15[::11]:
+            before = _pending_before(trace)
+            stays = [
+                i for i, ev in enumerate(trace.events)
+                if ev.kind == "fire" and ev.to_node is None
+                and len(before[i] - {ev.robot}) >= 2
+                and PHASE_OF.get(ev.tag) in (protocol.Phase.PHASE1, protocol.Phase.PHASE2)
+            ]
+            for index in stays[:2]:
+                ev = trace.events[index]
+                dropped = trace.events[:index] + trace.events[index + 1 :]
+                for tampered in (
+                    Trace(**{**trace.__dict__, "events": dropped}),
+                    with_event(trace, index, to_node=(ev.from_node + 1) % trace.n),
+                ):
+                    want = reference_verdicts(tampered)
+                    assert check_trace(tampered) == want, (trace.initial, trace.scheduler, index)
+                    compared[want["replay"].violation.description] += 1
+        assert compared["fired move differs from intent"] > 50
+        assert compared["activate with intent pending"] > 50
 
 
 def test_verify_report_lists_every_failure():

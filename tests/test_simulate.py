@@ -6,10 +6,12 @@ import pytest
 
 from ring_gather import (
     InvalidStartError,
+    NoRuleError,
     RingConfig,
     Tag,
     Trace,
     builtin_scheduler,
+    check_round_bound,
     check_trace,
     classify_protocol_state,
     classify_symmetry,
@@ -123,6 +125,25 @@ class TestStep:
         before = _state(sim)
         with pytest.raises(ValueError, match=f"scheduler contract violation: {reason}"):
             sim.apply(*action)
+        assert _state(sim) == before
+
+    def test_activation_without_rule_leaves_the_state(self):
+        # the lazy run that ends Stuck, replayed: the robot it activated last
+        # has "no rule" in the table, raises before the step counter moves
+        # and leaves every intent as it was
+        cfg = RingConfig.from_string("..11.11111111")
+        trace = run(cfg, builtin_scheduler("lazy", 1), relaxed=True)
+        assert trace.outcome == "Stuck"
+        sim = _Sim(cfg)
+        for ev in trace.events:
+            sim.apply(ev.robot, ev.to_node)
+        idle = [r for r in range(sim.k) if sim.pending[r] is None]
+        ruleless = [r for r in idle if sim.table[sim.positions[r]] == "no rule"]
+        assert ruleless
+        before = _state(sim)
+        for robot in ruleless:
+            with pytest.raises(NoRuleError):
+                sim.apply(robot)
         assert _state(sim) == before
 
     def test_round_counts_when_every_robot_cycled(self):
@@ -454,6 +475,23 @@ class TestTraceSerialization:
         assert check_trace(trace)["replay"].violation == (
             0, "header n or k differs from initial", "11111.11111...."
         )
+
+    @pytest.mark.parametrize("head, foot", [
+        ("[1]", '{"outcome": "Gathered", "rounds": 1}'),
+        ('{"n": 15, "k": 10, "initial": "11111.11111...."}', "[1]"),
+    ])
+    def test_line_that_is_no_object(self, head, foot):
+        # a header or footer that is valid JSON but no object has no fields
+        trace = Trace.from_jsonl(f"{head}\n{foot}\n")
+        if head == "[1]":
+            assert (trace.n, trace.k, trace.initial) == (None, None, None)
+            assert check_trace(trace)["replay"].violation == (
+                0, "occupancy None is not a string", None
+            )
+        else:
+            assert (trace.outcome, trace.rounds) == (None, None)
+            assert check_trace(trace)["replay"]
+            assert check_round_bound(trace).violation.description == "outcome None, not Gathered"
 
     def test_event_without_occupancy(self):
         import json
