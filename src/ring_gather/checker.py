@@ -102,14 +102,14 @@ _TOWERLESS = frozenset(".1")
 def check_trace(trace: Trace) -> dict[str, Verdict]:
     """The verdicts of the five `TRACE_CHECKS`, by name, from one pass.
 
+    It judges a `Trace` from `run` or from `Trace.from_jsonl`, whose fields
+    have their JSON types; their range and meaning are judged here.
     One replay re-executes the events from the initial occupancy with every
     robot's pending intent (its node and decision). It fails at step 0 when
     the initial occupancy is unreadable (`_parse_recorded`) or the header's
     n or k differs from it, else at the first event that disagrees with it,
-    such as one naming a robot outside 0…k−1 or a node that is no integer,
-    and stops there; the checks that read only recorded fields go on, and
-    treat an event's `occ` that is no string as one that does not parse,
-    and a `tag` that is no string as an unknown state.
+    such as one naming a robot outside 0…k−1 or a node off the ring, and
+    stops there; the checks that read only recorded fields go on.
     At most one pending intent may be incorrect (`intent_is_incorrect`) in
     Phases 1 and 2; a fresh intent equals the fresh decision and a Stay is
     never incorrect, so the count is redone only after an intent with a
@@ -138,17 +138,13 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     for step, kind, robot, src, dst, occ_s, tag, _round in trace.events:
         if occ_s != last_occ or tag != last_tag:
             last_occ, last_tag = occ_s, tag
-            try:
-                phase = _PHASES.get(tag)
-            except TypeError:  # a JSON array or object: an unknown state
-                tag = phase = None
-            occ_is_str = isinstance(occ_s, str)
+            phase = _PHASES.get(tag)
             if tower is None:
                 if tag in _P3_ENTRY:
                     tower = _PASS
-                elif not (occ_is_str and _TOWERLESS.issuperset(occ_s)):
+                elif not _TOWERLESS.issuperset(occ_s):
                     tower = Verdict.fail(step, "tower before Phase 3", occ_s)
-            if periodic is None and occ_is_str and occ_s not in seen:
+            if periodic is None and occ_s not in seen:
                 seen.add(occ_s)
                 towerless = "1" in occ_s and _TOWERLESS.issuperset(occ_s)
                 if towerless and rotations_fixing(parse_occupancy(occ_s)):
@@ -163,12 +159,12 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
         if replay is not None:
             continue
         mismatch = None
-        if not isinstance(robot, int) or not 0 <= robot < k:
+        if not 0 <= robot < k:
             mismatch = "no such robot"
         elif kind == "activate":
             if robot in pending:
                 mismatch = "activate with intent pending"
-            elif not isinstance(src, int) or not 0 <= src < n:
+            elif not 0 <= src < n:
                 mismatch = "activate from a node off the ring"
             elif not occ[src]:
                 mismatch = "activate from an empty node"
@@ -185,7 +181,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 mismatch = "fire without intent"
             elif dst is not None:
                 node, target = entry
-                if not isinstance(dst, int) or not 0 <= dst < n:
+                if not 0 <= dst < n:
                     mismatch = "fire to a node off the ring"
                 elif node != src or target is _NO_RULE or dst not in target:
                     mismatch = "fired move differs from intent"
@@ -229,11 +225,9 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     return {name: _PASS if v is None else v for name, v in verdicts.items()}
 
 
-def _parse_recorded(text) -> tuple[tuple[int, ...] | None, str | None]:
+def _parse_recorded(text: str) -> tuple[tuple[int, ...] | None, str | None]:
     """A recorded occupancy string's tuple and None, or None and why it
-    cannot be read: it is no string, does not parse, or has no robot."""
-    if not isinstance(text, str):
-        return None, f"occupancy {text!r} is not a string"
+    cannot be read: it does not parse, or has no robot."""
     try:
         occ = parse_occupancy(text)
     except ValueError as exc:
@@ -267,14 +261,9 @@ def check_phase_monotonic(trace: Trace) -> Verdict:
 
 
 def check_round_bound(trace: Trace, c: int = 20) -> Verdict:
-    """The run must gather within c·n² asynchronous rounds.  A stored
-    trace whose n or rounds is no integer fails, naming the field."""
+    """The run must gather within c·n² asynchronous rounds."""
     if trace.outcome != "Gathered":
         return Verdict.fail(None, f"outcome {trace.outcome}, not Gathered", None)
-    for field in ("n", "rounds"):
-        value = getattr(trace, field)
-        if type(value) is not int:
-            return Verdict.fail(None, f"{field} {value!r} is not an integer", None)
     bound = c * trace.n * trace.n
     if trace.rounds > bound:
         return Verdict.fail(None, f"{trace.rounds} rounds > {bound}", None)
@@ -291,7 +280,7 @@ def check_local_global_consistency(trace: Trace) -> Verdict:
         return Verdict.fail(0, problem, trace.initial)
     seen = set()
     for step, occ_s in [(0, _trace_fields(occ)[0])] + [(ev.step, ev.occ) for ev in trace.events]:
-        if isinstance(occ_s, str) and occ_s in seen:
+        if occ_s in seen:
             continue
         occ, problem = _parse_recorded(occ_s)
         if problem is not None:

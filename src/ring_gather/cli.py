@@ -32,10 +32,11 @@ SEED_ENV = "RING_GATHER_SEED"
 
 
 def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
+    env = os.environ.get(SEED_ENV) or "0"
+    try:
+        return int(env) if args.seed is None else args.seed
+    except ValueError:
+        raise SystemExit(f"invalid ${SEED_ENV}: {env!r}") from None
 
 
 def _load_config(args) -> RingConfig:

@@ -200,18 +200,7 @@ class Trace:
         return self.__dict__ == other.__dict__
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "n": self.n,
-                    "k": self.k,
-                    "scheduler": self.scheduler,
-                    "seed": self.seed,
-                    "fairness_bound": self.fairness_bound,
-                    "initial": self.initial,
-                }
-            )
-        ]
+        lines = [json.dumps({field: getattr(self, field) for field in _HEADER})]
         # what json.dumps would write: `kind`, `occ` and `tag` come from
         # fixed ASCII alphabets that need no escaping
         lines += [
@@ -220,33 +209,49 @@ class Trace:
             f'"round": {rnd}}}'
             for step, kind, robot, src, dst, occ, tag, rnd in self.events
         ]
-        lines.append(json.dumps({"outcome": self.outcome, "rounds": self.rounds}))
+        lines.append(json.dumps({field: getattr(self, field) for field in _FOOTER}))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        """Parse `to_jsonl` output.  A field that a line lacks reads as
-        null, which `check_trace` judges, and a line that is no JSON object
-        lacks every field; text without both a header and a footer line
-        raises `ValueError`."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        """Parse `to_jsonl` output; the one judge of stored JSON types.
+        Each nonblank line must be an object with every field of its kind,
+        of its type (an integer is neither a bool nor a float); other keys
+        are ignored.  Else `ValueError` names the line and the field."""
+        lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if len(lines) < 2:
             raise ValueError("a trace needs a header line and a footer line")
-        head, foot = _json_object(lines[0]), _json_object(lines[-1])
-        trace = cls(
-            *map(head.get, ("n", "k", "scheduler", "seed", "fairness_bound", "initial")),
-            outcome=foot.get("outcome"),
-            rounds=foot.get("rounds"),
-        )
-        fields = ("step", "kind", "robot", "from", "to", "occ", "tag", "round")
-        trace.events = [TraceEvent(*map(_json_object(ln).get, fields)) for ln in lines[1:-1]]
+        trace = cls(*_fields(*lines[0], _HEADER))
+        trace.events = [TraceEvent(*_fields(*line, _EVENT)) for line in lines[1:-1]]
+        trace.outcome, trace.rounds = _fields(*lines[-1], _FOOTER)
         return trace
 
 
-def _json_object(line: str) -> dict:
-    """A JSON line's object, or no fields when the line is another value."""
-    value = json.loads(line)
-    return value if isinstance(value, dict) else {}
+# each stored line's fields, in `Trace` and `TraceEvent` order, and their JSON types
+_INT, _STR, _INT_OR_NULL = (int,), (str,), (int, type(None))
+_HEADER = {"n": _INT, "k": _INT, "scheduler": _STR, "seed": _INT_OR_NULL,
+           "fairness_bound": _INT, "initial": _STR}
+_EVENT = {"step": _INT, "kind": _STR, "robot": _INT, "from": _INT, "to": _INT_OR_NULL,
+          "occ": _STR, "tag": _STR, "round": _INT}
+_FOOTER = {"outcome": _STR, "rounds": _INT}
+_TYPE_NAMES = {_INT: "an integer", _STR: "a string", _INT_OR_NULL: "an integer or null"}
+
+
+def _fields(number: int, line: str, types: dict) -> list:
+    """The values of JSON line `number`, one per field of `types`."""
+    try:
+        value = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
+    if type(value) is not dict:
+        raise ValueError(f"line {number}: {json.dumps(value)} is not a JSON object")
+    for field, allowed in types.items():
+        if field not in value:
+            raise ValueError(f"line {number}: no field {field!r}")
+        if type(value[field]) not in allowed:
+            got, want = json.dumps(value[field]), _TYPE_NAMES[allowed]
+            raise ValueError(f"line {number}: field {field!r} is {got}, not {want}")
+    return [value[field] for field in types]
 
 
 # ---------------------------------------------------------------------------

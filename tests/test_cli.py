@@ -133,6 +133,13 @@ def test_simulate_seed_env_fallback(tmp_path, monkeypatch, capsys):
     assert head["seed"] == 17
 
 
+def test_simulate_seed_env_that_is_no_integer(monkeypatch):
+    monkeypatch.setenv("RING_GATHER_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--occ", TERMINAL, "--scheduler", "random", "--out", os.devnull])
+    assert str(exc.value) == "invalid $RING_GATHER_SEED: 'abc'"
+
+
 def test_enumerate_excludes_periodic(capsys):
     assert main(["enumerate", "--n", "15", "--k", "10", "--relaxed"]) == 0
     captured = capsys.readouterr()

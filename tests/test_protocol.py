@@ -326,6 +326,56 @@ class TestSymmetricPairProperty:
             assert sorted(size for _, size in runs) == [5, 5]
 
 
+def _mirrored(table):
+    """A decision table seen through the reflection i -> -i mod n: each
+    node's entry moves to its mirror node, with its targets mirrored."""
+    n = len(table)
+    return tuple(
+        tuple(sorted(-t % n for t in entry)) if type(entry) is tuple else entry
+        for entry in (table[-v % n] for v in range(n))
+    )
+
+
+class TestModelAssumptions:
+    """Robots have no chirality and detect multiplicity only locally and
+    weakly: the rules read neither a direction nor a tower's height."""
+
+    @pytest.mark.parametrize("n, count, broken", [(11, 6_655, 88), (13, 30_719, 130)])
+    def test_no_chirality(self, n, count, broken):
+        # every occupancy with an even robot count, towerless or with one
+        # height-2 tower: the decisions on its mirror image are the mirror
+        # image of its decisions.  Except at k = n - 1, outside n > k + 3:
+        # there a lone robot between two empty nodes cannot see the tower
+        # that makes the configuration asymmetric, reads a mirror tie and
+        # steps clockwise on both images, where the adversary should choose
+        checked, unmirrored = 0, []
+        for occ in occupancies_and_towers(n):
+            if sum(occ) % 2 == 0:
+                mirror = tuple(occ[-v % n] for v in range(n))
+                if protocol._decisions(mirror) != _mirrored(protocol._decisions(occ)):
+                    unmirrored.append(occ)
+                checked += 1
+        assert checked == count
+        assert len(unmirrored) == broken
+        assert all(sum(occ) == n - 1 and 2 in occ for occ in unmirrored)
+
+    def test_weak_multiplicity(self):
+        # every towerless occupancy of n = 11 with an even robot count, with
+        # a tower of height 3 or 5 on one occupied node: the decisions, the
+        # tag and the moves are the same for both heights
+        pairs = 0
+        for occ in occupancies_and_towers(11):
+            if 2 in occ or sum(occ) % 2:
+                continue
+            for v in itertools.compress(range(11), occ):
+                three, five = (occ[:v] + (height,) + occ[v + 1:] for height in (3, 5))
+                assert protocol._decisions(three) == protocol._decisions(five), three
+                a, b = protocol._analyze(three), protocol._analyze(five)
+                assert (a.tag, a.moves) == (b.tag, b.moves), three
+                pairs += 1
+        assert pairs == 5_632
+
+
 class TestLocalDecide:
     def test_block_border_moves(self):
         view = compute_view(BLOCK_15, 0)

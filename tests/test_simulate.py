@@ -1,6 +1,7 @@
 """CORDA execution semantics, schedulers, traces, determinism."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -11,7 +12,6 @@ from ring_gather import (
     Tag,
     Trace,
     builtin_scheduler,
-    check_round_bound,
     check_trace,
     classify_protocol_state,
     classify_symmetry,
@@ -35,6 +35,7 @@ def cfg_at(n, positions):
 TERMINAL_15 = cfg_at(15, list(range(5)) + list(range(6, 11)))
 BLOCK_15 = cfg_at(15, range(10))
 EITHER_WAY_15 = RingConfig.from_string("..111.1.111.111")  # robot 3 may go either way
+MISSING = object()  # a stored field deleted
 
 
 def _state(sim):
@@ -452,8 +453,6 @@ class TestTraceSerialization:
         assert read_trace(path) == back
 
     def test_header_and_footer_fields(self):
-        import json
-
         trace = run(TERMINAL_15, builtin_scheduler("lazy", 7))
         lines = trace.to_jsonl().splitlines()
         head = json.loads(lines[0])
@@ -463,48 +462,55 @@ class TestTraceSerialization:
         foot = json.loads(lines[-1])
         assert set(foot) == {"outcome", "rounds"}
 
-    def test_header_without_fields(self):
-        # a missing field reads as null, and the replay judges the header
-        trace = Trace.from_jsonl('{"n": 15}\n{"outcome": "Gathered", "rounds": 1}\n')
-        assert (trace.n, trace.k, trace.initial, trace.events) == (15, None, None, [])
-        assert (trace.outcome, trace.rounds) == ("Gathered", 1)
-        assert check_trace(trace)["replay"].violation == (0, "occupancy None is not a string", None)
-        trace = Trace.from_jsonl(
-            '{"n": 15, "initial": "11111.11111...."}\n{"outcome": "Gathered", "rounds": 1}\n'
-        )
-        assert check_trace(trace)["replay"].violation == (
-            0, "header n or k differs from initial", "11111.11111...."
-        )
+    # One stored line of the random-seed-1 trace of 11111.11111.... made
+    # ill-typed: a field set to `value` or deleted (MISSING), or the whole
+    # line replaced (field None).  Line 5 activates robot 5 on node 6, line
+    # 13 fires it to node 5, and line -1 is the footer.
+    ILL_TYPED = [
+        (1, None, [1], "[1] is not a JSON object"),
+        (1, "n", None, "field 'n' is null, not an integer"),
+        (1, "k", MISSING, "no field 'k'"),
+        (1, "initial", None, "field 'initial' is null, not a string"),
+        (4, None, [2], "[2] is not a JSON object"),
+        (4, None, None, "null is not a JSON object"),
+        (4, None, 7, "7 is not a JSON object"),
+        (4, "occ", None, "field 'occ' is null, not a string"),
+        (4, "occ", MISSING, "no field 'occ'"),
+        (4, "tag", None, "field 'tag' is null, not a string"),
+        (4, "tag", ["Terminal"], 'field \'tag\' is ["Terminal"], not a string'),
+        (4, "tag", {"a": 1}, 'field \'tag\' is {"a": 1}, not a string'),
+        (5, "from", None, "field 'from' is null, not an integer"),
+        (5, "from", "9", 'field \'from\' is "9", not an integer'),
+        (5, "robot", None, "field 'robot' is null, not an integer"),
+        (5, "robot", "3", 'field \'robot\' is "3", not an integer'),
+        (13, "to", "12", 'field \'to\' is "12", not an integer or null'),
+        # a float node equals its integer, so the replay would index with it
+        (13, "from", 6.0, "field 'from' is 6.0, not an integer"),
+        # a bool is a Python int, so robot 1 would replay
+        (13, "robot", True, "field 'robot' is true, not an integer"),
+        (-1, None, [1], "[1] is not a JSON object"),
+        (-1, "rounds", MISSING, "no field 'rounds'"),
+    ]
 
-    @pytest.mark.parametrize("head, foot", [
-        ("[1]", '{"outcome": "Gathered", "rounds": 1}'),
-        ('{"n": 15, "k": 10, "initial": "11111.11111...."}', "[1]"),
-    ])
-    def test_line_that_is_no_object(self, head, foot):
-        # a header or footer that is valid JSON but no object has no fields
-        trace = Trace.from_jsonl(f"{head}\n{foot}\n")
-        if head == "[1]":
-            assert (trace.n, trace.k, trace.initial) == (None, None, None)
-            assert check_trace(trace)["replay"].violation == (
-                0, "occupancy None is not a string", None
-            )
+    @pytest.mark.parametrize(
+        "line, field, value, message", ILL_TYPED, ids=[f"{c[0]}: {c[3]}" for c in ILL_TYPED]
+    )
+    def test_ill_typed_line_is_refused(self, line, field, value, message):
+        lines = run(
+            RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1)
+        ).to_jsonl().splitlines()
+        number = line if line > 0 else len(lines) + 1 + line
+        stored = json.loads(lines[number - 1])
+        if field is None:
+            stored = value
+        elif value is MISSING:
+            del stored[field]
         else:
-            assert (trace.outcome, trace.rounds) == (None, None)
-            assert check_trace(trace)["replay"]
-            assert check_round_bound(trace).violation.description == "outcome None, not Gathered"
-
-    def test_event_without_occupancy(self):
-        import json
-
-        lines = run(TERMINAL_15, builtin_scheduler("random", 3)).to_jsonl().splitlines()
-        event = json.loads(lines[3])
-        del event["occ"]
-        lines[3] = json.dumps(event)
-        trace = Trace.from_jsonl("\n".join(lines))
-        assert trace.events[2].occ is None
-        assert check_trace(trace)["replay"].violation == (
-            event["step"], "occupancy diverged from recording", None
-        )
+            stored[field] = value
+        lines[number - 1] = json.dumps(stored)
+        with pytest.raises(ValueError) as exc:
+            Trace.from_jsonl("\n".join(lines))
+        assert str(exc.value) == f"line {number}: {message}"
 
     @pytest.mark.parametrize("text", ["", "\n", '{"n": 15}\n'])
     def test_text_without_header_and_footer(self, text):
