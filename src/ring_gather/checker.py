@@ -25,7 +25,6 @@ from .ring import (
     compute_view,
     format_occupancy,
     parse_occupancy,
-    rotations_fixing,
 )
 from .protocol import (
     _CACHE_SIZE,
@@ -41,7 +40,9 @@ from .protocol import (
     classify_protocol_state,
 )
 from .simulate import (
+    DEFAULT_MAX_STEPS,
     Trace,
+    _start_positions,
     builtin_scheduler,
     intent_is_incorrect,
     run,
@@ -82,8 +83,6 @@ def enumerate_initial_configs(n: int, k: int, relaxed: bool = False):
     canonical `RingConfig`s: in the order in which placements with a robot
     on node 0, in `itertools.combinations` order, first meet each class."""
     validate_params(n, k, relaxed)
-    if k < 1 or k > n:
-        raise ValueError("constraint violated: k must be between 1 and n")
     for text in _aperiodic_bracelets(n, k):
         yield RingConfig.from_string(text)
 
@@ -105,11 +104,12 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     It judges a `Trace` from `run` or from `Trace.from_jsonl`, whose fields
     have their JSON types; their range and meaning are judged here.
     One replay re-executes the events from the initial occupancy with every
-    robot's pending intent (its node and decision). It fails at step 0 when
-    the initial occupancy is unreadable (`_parse_recorded`) or the header's
-    n or k differs from it, else at the first event that disagrees with it,
-    such as one naming a robot outside 0…k−1 or a node off the ring, and
-    stops there; the checks that read only recorded fields go on.
+    robot's node, robot i starting on the i-th robot's node as in `run`,
+    and its pending intent. It fails at step 0 when the initial occupancy
+    is unreadable (`_parse_recorded`) or the header's n or k differs from
+    it, else at the first event that disagrees with it, such as one naming
+    a robot outside 0…k−1 or a `from` node its robot is not on, and stops
+    there; the checks that read only recorded fields go on.
     At most one pending intent may be incorrect (`intent_is_incorrect`) in
     Phases 1 and 2; a fresh intent equals the fresh decision and a Stay is
     never incorrect, so the count is redone only after an intent with a
@@ -121,7 +121,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     cannot change.
     """
     n, k = trace.n, trace.k
-    pending: dict[int, tuple[int, object]] = {}  # robot -> (node, targets or _NO_RULE)
+    pending: dict[int, object] = {}  # robot -> its targets or _NO_RULE
     incorrect, recount = 0, False
     tower = periodic = outdated = monotonic = replay = None
     occ, mismatch = _parse_recorded(trace.initial)
@@ -129,6 +129,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
         mismatch = "header n or k differs from initial"
     if mismatch is None:
         canon, table = _trace_fields(occ)[0], _decisions(occ)
+        positions = _start_positions(occ)
     else:
         replay = Verdict.fail(0, mismatch, trace.initial)
         outdated = Verdict.fail(0, f"replay failed: {mismatch}", trace.initial)
@@ -139,15 +140,16 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
         if occ_s != last_occ or tag != last_tag:
             last_occ, last_tag = occ_s, tag
             phase = _PHASES.get(tag)
+            towerless = _TOWERLESS.issuperset(occ_s)
             if tower is None:
                 if tag in _P3_ENTRY:
                     tower = _PASS
-                elif not _TOWERLESS.issuperset(occ_s):
+                elif not towerless:
                     tower = Verdict.fail(step, "tower before Phase 3", occ_s)
             if periodic is None and occ_s not in seen:
                 seen.add(occ_s)
-                towerless = "1" in occ_s and _TOWERLESS.issuperset(occ_s)
-                if towerless and rotations_fixing(parse_occupancy(occ_s)):
+                # a robot string equal to one of its own rotations
+                if towerless and "1" in occ_s and occ_s in (occ_s + occ_s)[1:-1]:
                     periodic = Verdict.fail(step, "periodic configuration reached", occ_s)
             if monotonic is None:
                 if phase is None:
@@ -161,40 +163,32 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
         mismatch = None
         if not 0 <= robot < k:
             mismatch = "no such robot"
-        elif kind == "activate":
-            if robot in pending:
-                mismatch = "activate with intent pending"
-            elif not 0 <= src < n:
-                mismatch = "activate from a node off the ring"
-            elif not occ[src]:
-                mismatch = "activate from an empty node"
-            else:
-                target = table[src]
-                pending[robot] = (src, target)
-                if target is _NO_RULE:
-                    recount = True
-            if dst is not None:
-                mismatch = mismatch or "activate with a target node"
-        elif kind == "fire":
-            entry = pending.pop(robot, None)
-            if entry is None:
-                mismatch = "fire without intent"
-            elif dst is not None:
-                node, target = entry
-                if not 0 <= dst < n:
-                    mismatch = "fire to a node off the ring"
-                elif node != src or target is _NO_RULE or dst not in target:
-                    mismatch = "fired move differs from intent"
-                elif not occ[src]:
-                    mismatch = "fire from an empty node"
-                else:
-                    occ = _move_one(occ, src, dst)
-                    canon, table = _trace_fields(occ)[0], _decisions(occ)
-                    recount = True
-            elif entry[1]:
-                mismatch = "intent to move fired as stay"
-        else:
+        elif kind != "activate" and kind != "fire":
             mismatch = f"unknown event kind {kind!r}"
+        elif kind == "activate" and robot in pending:
+            mismatch = "activate with intent pending"
+        elif kind == "fire" and robot not in pending:
+            mismatch = "fire without intent"
+        elif src != positions[robot]:
+            mismatch = "robot is not on its from node"
+        elif kind == "activate":
+            if dst is not None:
+                mismatch = "activate with a target node"
+            else:
+                target = pending[robot] = table[src]
+                recount |= target is _NO_RULE
+        else:
+            target = pending.pop(robot)
+            if dst is None:
+                if target:
+                    mismatch = "intent to move fired as stay"
+            elif target is _NO_RULE or dst not in target:
+                mismatch = "fired move differs from intent"
+            else:
+                occ = _move_one(occ, src, dst)
+                canon, table = _trace_fields(occ)[0], _decisions(occ)
+                positions[robot] = dst
+                recount = True
         if mismatch is None and canon != occ_s:
             mismatch = "occupancy diverged from recording"
         if mismatch is not None:
@@ -206,17 +200,12 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 outdated = Verdict.fail(step, "unknown state reached", occ_s)
             elif phase in (Phase.PHASE1, Phase.PHASE2) and len(pending) > 1:
                 if recount:
-                    try:
-                        incorrect = sum(
-                            intent_is_incorrect(occ, node, target)
-                            for node, target in pending.values()
-                        )
-                    except ValueError:  # no view from an empty node
-                        incorrect = None
+                    incorrect = sum(
+                        intent_is_incorrect(occ, positions[robot], target)
+                        for robot, target in pending.items()
+                    )
                     recount = False
-                if incorrect is None:
-                    outdated = Verdict.fail(step, "pending intent on an empty node", occ_s)
-                elif incorrect > 1:
+                if incorrect > 1:
                     outdated = Verdict.fail(
                         step, f"{incorrect} outdated robots with incorrect targets", occ_s
                     )
@@ -696,7 +685,7 @@ def run_verification(
     c: int = 20,
     transition_ns=(15, 17, 21),
     lemma1_n_max: int = 11,
-    max_steps: int = 400_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     jobs: int | None = None,
 ) -> dict:
     """The full verification battery; returns the report as a dict ready

@@ -20,6 +20,7 @@ import sys
 from .ring import RingConfig, canonical_form, classify_symmetry
 from .protocol import classify_protocol_state
 from .simulate import (
+    DEFAULT_MAX_STEPS,
     InvalidStartError,
     builtin_scheduler,
     run,
@@ -91,15 +92,15 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     if (args.n is None) != (args.k is None):
         raise SystemExit("verify needs both --n and --k, or neither")
-    grids = ((15, 10), (17, 10))
+    grids = {}  # run_verification's default grids
     if args.n is not None:
         try:
             validate_params(args.n, args.k)
         except InvalidStartError as exc:
             raise SystemExit(str(exc))
-        grids = ((args.n, args.k),)
+        grids = {"grids": ((args.n, args.k),)}
     report = run_verification(
-        grids=grids,
+        **grids,
         random_seeds=args.random_seeds,
         lazy_seeds=args.lazy_seeds,
         c=args.c,
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default="synchronous"),
         "--seed": dict(type=int, default=None,
                        help=f"RNG seed (falls back to ${SEED_ENV})"),
-        "--max-steps": dict(type=count, default=400_000),
+        "--max-steps": dict(type=count, default=DEFAULT_MAX_STEPS),
         "--fairness-bound": dict(type=int, default=None),
         "--relaxed": dict(action="store_true",
                           help='lift only "k>8" and "n>k+3" (testing only)'),

@@ -84,6 +84,12 @@ def intent_is_incorrect(occ: tuple[int, ...], node: int, target) -> bool:
         return True
 
 
+def _start_positions(occ: tuple[int, ...]) -> list[int]:
+    """Each robot's node on the start occupancy `occ`: robot i is on the
+    i-th robot's node, in ascending node order."""
+    return [node for node, count in enumerate(occ) for _ in range(count)]
+
+
 class _Sim:
     """The simulator's state: the occupancy tuple and its decision table,
     per-robot positions and pending intents, plus step/round accounting.
@@ -108,7 +114,7 @@ class _Sim:
         self.occ = cfg.occ
         self.table = _decisions(cfg.occ)  # every robot's decision, by node
         self.width = len(cfg.occupied)  # occupied nodes
-        self.positions = [node for node, count in enumerate(cfg.occ) for _ in range(count)]
+        self.positions = _start_positions(cfg.occ)
         self.k = len(self.positions)
         self.pending = [None] * self.k
         self.step = 0
@@ -400,9 +406,9 @@ def validate_params(n: int, k: int, relaxed: bool = False) -> None:
     """Check the protocol's size constraints: n odd, k even, k > 8 and
     n > k + 3, and the tool's own: k at most the largest count an
     occupancy string can write, since a run ends with all k robots on one
-    node.  `relaxed` lifts only k > 8 and n > k + 3: the rules cover an
-    even number of robots on an odd ring only.  The message lists every
-    violated constraint."""
+    node, and 1 <= k <= n, the sizes of a towerless start.  `relaxed` lifts
+    only k > 8 and n > k + 3: the rules cover an even number of robots on
+    an odd ring only.  The message lists every violated constraint."""
     problems = []
     if k % 2 != 0:
         problems.append("k even")
@@ -414,6 +420,8 @@ def validate_params(n: int, k: int, relaxed: bool = False) -> None:
         problems.append("n odd")
     if n <= k + 3:
         problems.append("n>k+3")
+    if not 1 <= k <= n:
+        problems.append("1<=k<=n")
     if relaxed:
         problems = [p for p in problems if p not in ("k>8", "n>k+3")]
     if problems:

@@ -24,7 +24,7 @@ from ring_gather.protocol import (
     phase_of,
 )
 from ring_gather.ring import _canonical, parse_occupancy
-from ring_gather.simulate import Trace, intent_is_incorrect
+from ring_gather.simulate import Trace
 
 
 def rotate(occ, r):
@@ -243,51 +243,48 @@ def _reading(occ, node, step):
 
 
 class _Replay:
-    """Walk a trace, maintaining the configuration and the pending intents,
-    and verify that each recorded canonical occupancy matches."""
+    """Walk a trace, maintaining the configuration, each robot's node and
+    the pending intents, and verify that each recorded canonical occupancy
+    matches.  Robot i starts on the i-th robot's node, counting the robots
+    node by node from node 0."""
 
     def __init__(self, trace: Trace):
         self.trace = trace
         self.n = trace.n
         self.occ = list(parse_occupancy(trace.initial))
-        self.pending: dict[int, tuple[int, object]] = {}  # robot -> (node, target)
-        self.moves = 0
+        self.positions = []
+        for node, count in enumerate(self.occ):
+            self.positions += [node] * count
+        self.pending: dict[int, object] = {}  # robot -> target
 
     def play(self):
         """Yield (event, mismatch) pairs; mismatch is None or a string."""
         for ev in self.trace.events:
             mismatch = None
-            if ev.kind == "activate":
-                if ev.robot in self.pending:
-                    mismatch = "activate with intent pending"
-                else:
-                    target = self._decide(ev.from_node)
-                    self.pending[ev.robot] = (ev.from_node, target)
-                if ev.to_node is not None:
-                    mismatch = mismatch or "activate with a target node"
-            elif ev.kind == "fire":
-                entry = self.pending.pop(ev.robot, None)
-                if entry is None:
-                    mismatch = "fire without intent"
-                else:
-                    node, target = entry
-                    if ev.to_node is not None:
-                        ok = (
-                            target == ev.to_node
-                            if not isinstance(target, tuple)
-                            else ev.to_node in target
-                        )
-                        if not ok or node != ev.from_node:
-                            mismatch = "fired move differs from intent"
-                        self.occ[ev.from_node] -= 1
-                        self.occ[ev.to_node] += 1
-                        self.moves += 1
-                    elif target != ():
-                        mismatch = "intent to move fired as stay"
-            else:
+            if ev.kind not in ("activate", "fire"):
                 mismatch = f"unknown event kind {ev.kind!r}"
-            occ = tuple(self.occ)
-            if _canonical(occ) != ev.occ:
+            elif ev.kind == "activate" and ev.robot in self.pending:
+                mismatch = "activate with intent pending"
+            elif ev.kind == "fire" and ev.robot not in self.pending:
+                mismatch = "fire without intent"
+            elif self.positions[ev.robot] != ev.from_node:
+                mismatch = "robot is not on its from node"
+            elif ev.kind == "activate":
+                self.pending[ev.robot] = self._decide(ev.from_node)
+                if ev.to_node is not None:
+                    mismatch = "activate with a target node"
+            else:
+                target = self.pending.pop(ev.robot)
+                if ev.to_node is None:
+                    if target != ():
+                        mismatch = "intent to move fired as stay"
+                elif not isinstance(target, tuple) or ev.to_node not in target:
+                    mismatch = "fired move differs from intent"
+                else:
+                    self.occ[ev.from_node] -= 1
+                    self.occ[ev.to_node] += 1
+                    self.positions[ev.robot] = ev.to_node
+            if _canonical(tuple(self.occ)) != ev.occ:
                 mismatch = mismatch or "occupancy diverged from recording"
             yield ev, mismatch
 
@@ -298,13 +295,17 @@ class _Replay:
             return "no-rule"
 
     def incorrect_pending(self):
-        """Robots whose pending intent is incorrect (`intent_is_incorrect`)."""
-        occ = tuple(self.occ)
-        return [
-            robot
-            for robot, (node, target) in self.pending.items()
-            if intent_is_incorrect(occ, node, target)
-        ]
+        """Robots whose pending intent has a target and differs from a fresh
+        decision on their node; a fresh decision without a rule counts as
+        different."""
+        bad = []
+        for robot, target in self.pending.items():
+            if target == ():
+                continue
+            fresh = self._decide(self.positions[robot])
+            if fresh == "no-rule" or fresh != target:
+                bad.append(robot)
+        return bad
 
 
 def replay_trace(trace: Trace) -> Verdict:

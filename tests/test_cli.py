@@ -158,6 +158,14 @@ def test_enumerate_validates(capsys):
     assert "k even" in str(exc.value)
 
 
+def test_enumerate_needs_k_at_most_n():
+    # --relaxed lifts n>k+3, not 1<=k<=n: six robots have no towerless
+    # placement on five nodes
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "5", "--k", "6", "--relaxed"])
+    assert str(exc.value) == "constraint violated: 1<=k<=n"
+
+
 @pytest.mark.parametrize("flag", [["--n", "15"], ["--k", "10"]])
 def test_enumerate_needs_both_n_and_k(flag):
     with pytest.raises(SystemExit) as exc:
