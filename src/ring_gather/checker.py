@@ -94,6 +94,9 @@ def enumerate_initial_configs(n: int, k: int, relaxed: bool = False):
 _P3_ENTRY = {Tag.TERMINAL_SKEW.value, Tag.TARGET.value}
 # the phase of every tag string a trace may record; Unknown has none
 _PHASES = {tag.value: phase for tag, phase in PHASES.items()}
+# the phases whose outdated intents are bounded, built once: reading an
+# Enum member is a class attribute lookup, too dear to repeat per event
+_BOUNDED_PHASES = frozenset((Phase.PHASE1, Phase.PHASE2))
 _PASS = Verdict.ok()
 _TOWERLESS = frozenset(".1")
 
@@ -163,32 +166,35 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
         mismatch = None
         if not 0 <= robot < k:
             mismatch = "no such robot"
-        elif kind != "activate" and kind != "fire":
-            mismatch = f"unknown event kind {kind!r}"
-        elif kind == "activate" and robot in pending:
-            mismatch = "activate with intent pending"
-        elif kind == "fire" and robot not in pending:
-            mismatch = "fire without intent"
-        elif src != positions[robot]:
-            mismatch = "robot is not on its from node"
         elif kind == "activate":
-            if dst is not None:
+            if robot in pending:
+                mismatch = "activate with intent pending"
+            elif src != positions[robot]:
+                mismatch = "robot is not on its from node"
+            elif dst is not None:
                 mismatch = "activate with a target node"
             else:
                 target = pending[robot] = table[src]
                 recount |= target is _NO_RULE
-        else:
-            target = pending.pop(robot)
-            if dst is None:
-                if target:
-                    mismatch = "intent to move fired as stay"
-            elif target is _NO_RULE or dst not in target:
-                mismatch = "fired move differs from intent"
+        elif kind == "fire":
+            if robot not in pending:
+                mismatch = "fire without intent"
+            elif src != positions[robot]:
+                mismatch = "robot is not on its from node"
             else:
-                occ = _move_one(occ, src, dst)
-                canon, table = _trace_fields(occ)[0], _decisions(occ)
-                positions[robot] = dst
-                recount = True
+                target = pending.pop(robot)
+                if dst is None:
+                    if target:
+                        mismatch = "intent to move fired as stay"
+                elif target is _NO_RULE or dst not in target:
+                    mismatch = "fired move differs from intent"
+                else:
+                    occ = _move_one(occ, src, dst)
+                    canon, table = _trace_fields(occ)[0], _decisions(occ)
+                    positions[robot] = dst
+                    recount = True
+        else:
+            mismatch = f"unknown event kind {kind!r}"
         if mismatch is None and canon != occ_s:
             mismatch = "occupancy diverged from recording"
         if mismatch is not None:
@@ -198,7 +204,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
         elif outdated is None:
             if phase is None:
                 outdated = Verdict.fail(step, "unknown state reached", occ_s)
-            elif phase in (Phase.PHASE1, Phase.PHASE2) and len(pending) > 1:
+            elif phase in _BOUNDED_PHASES and len(pending) > 1:
                 if recount:
                     incorrect = sum(
                         intent_is_incorrect(occ, positions[robot], target)

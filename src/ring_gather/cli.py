@@ -99,14 +99,10 @@ def cmd_verify(args) -> int:
         except InvalidStartError as exc:
             raise SystemExit(str(exc))
         grids = {"grids": ((args.n, args.k),)}
-    report = run_verification(
-        **grids,
-        random_seeds=args.random_seeds,
-        lazy_seeds=args.lazy_seeds,
-        c=args.c,
-        max_steps=args.max_steps,
-        jobs=args.jobs,
-    )
+    # a count or constant left unset takes run_verification's default
+    given = {name: getattr(args, name) for name in ("random_seeds", "lazy_seeds", "c")
+             if getattr(args, name) is not None}
+    report = run_verification(**grids, **given, max_steps=args.max_steps, jobs=args.jobs)
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -169,9 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fairness-bound": dict(type=int, default=None),
         "--relaxed": dict(action="store_true",
                           help='lift only "k>8" and "n>k+3" (testing only)'),
-        "--random-seeds": dict(type=count, default=50),
-        "--lazy-seeds": dict(type=count, default=10),
-        "--c": dict(type=int, default=20,
+        "--random-seeds": dict(type=count, default=None),
+        "--lazy-seeds": dict(type=count, default=None),
+        "--c": dict(type=int, default=None,
                     help="round-bound constant: gathered within c*n^2 rounds"),
         "--jobs": dict(type=int, default=None, help="worker processes"),
     }

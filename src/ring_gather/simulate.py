@@ -90,16 +90,25 @@ def _start_positions(occ: tuple[int, ...]) -> list[int]:
     return [node for node, count in enumerate(occ) for _ in range(count)]
 
 
+# Builds a record from a tuple of its fields without a Python frame: a
+# NamedTuple's generated `__new__` is one, and the simulator makes a
+# PendingIntent and a TraceEvent on nearly every action.
+_new = tuple.__new__
+
+
 class _Sim:
-    """The simulator's state: the occupancy tuple and its decision table,
-    per-robot positions and pending intents, plus step/round accounting.
-    `run` drives it through `apply`; schedulers read it."""
+    """The simulator's state: the occupancy tuple with its decision table,
+    canonical string and tag, per-robot positions and pending intents, plus
+    step/round accounting.  `run` drives it through `apply`; schedulers
+    read it."""
 
     __slots__ = (
         "n",
         "k",
         "occ",
         "table",
+        "canon",
+        "tag",
         "width",
         "positions",
         "pending",
@@ -113,6 +122,7 @@ class _Sim:
         self.n = cfg.n
         self.occ = cfg.occ
         self.table = _decisions(cfg.occ)  # every robot's decision, by node
+        self.canon, self.tag = _trace_fields(cfg.occ)  # what an event records
         self.width = len(cfg.occupied)  # occupied nodes
         self.positions = _start_positions(cfg.occ)
         self.k = len(self.positions)
@@ -123,15 +133,16 @@ class _Sim:
         # robot -> step of its last completed move phase, oldest first (ties by id)
         self.last_cycle = dict.fromkeys(range(self.k), 0)
 
-    def apply(self, robot: int, direction: int | None = None):
+    def apply(self, robot: int, direction: int | None = None) -> TraceEvent:
         """Let `robot` act: an idle robot activates, recording a pending
         intent; a robot with an intent fires it, toward `direction` when
-        the intent leaves the direction to the scheduler.  Returns
-        (from_node, to_node) with to_node None for activations and cleared
-        Stay intents.  An action that is rejected (`ValueError`, or
-        `NoRuleError` when the robot has no rule) leaves the state as it
-        was.  The decision table changes only with the occupancy, so it is
-        looked up once per move, not once per activation."""
+        the intent leaves the direction to the scheduler.  Returns the
+        `TraceEvent` that records the action, whose `to_node` is None for
+        activations and cleared Stay intents.  An action that is rejected
+        (`ValueError`, or `NoRuleError` when the robot has no rule) leaves
+        the state as it was.  The decision table, canonical string and tag
+        change only with the occupancy, so they are looked up once per
+        move, not once per action."""
         if not 0 <= robot < self.k:
             raise ValueError("scheduler contract violation: no such robot")
         node = self.positions[robot]
@@ -140,9 +151,10 @@ class _Sim:
             target = self.table[node]
             if target is _NO_RULE:
                 raise NoRuleError("no rule")
-            self.step += 1
-            self.pending[robot] = PendingIntent(self.step, self.occ, target)
-            return node, None
+            step = self.step = self.step + 1
+            self.pending[robot] = _new(PendingIntent, (step, self.occ, target))
+            return _new(TraceEvent, (step, "activate", robot, node, None,
+                                     self.canon, self.tag, self.round))
         targets = intent.target
         if len(targets) > 1 and direction not in targets:
             raise ValueError("scheduler contract violation: direction needed")
@@ -157,13 +169,15 @@ class _Sim:
             self.round += 1
             self.round_start = step
         if not targets:
-            return node, None
+            return _new(TraceEvent, (step, "fire", robot, node, None,
+                                     self.canon, self.tag, self.round))
         target = direction if len(targets) > 1 else targets[0]
         occ = self.occ = _move_one(self.occ, node, target)
         self.table = _decisions(occ)
+        canon, tag = self.canon, self.tag = _trace_fields(occ)
         self.width += (occ[target] == 1) - (occ[node] == 0)
         self.positions[robot] = target
-        return node, target
+        return _new(TraceEvent, (step, "fire", robot, node, target, canon, tag, self.round))
 
     def gathered(self) -> bool:
         return self.width == 1
@@ -483,7 +497,6 @@ def run(
     patience = bound - 2 * sim.k
     k, pending, last_cycle = sim.k, sim.pending, sim.last_cycle
     apply, propose, append = sim.apply, scheduler.propose, trace.events.append
-    canon, tag = _trace_fields(sim.occ)
     while True:
         if sim.width == 1:
             trace.outcome = "Gathered"
@@ -501,18 +514,15 @@ def run(
         if intent is not None and len(intent.target) > 1:
             direction = scheduler.choose_direction(sim, robot)
         try:
-            from_node, to_node = apply(robot, direction)
+            event = apply(robot, direction)
         except NoRuleError:
             # a state outside the protocol's rule set was reached; the
             # checker treats any Stuck outcome as a failure
             trace.outcome = "Stuck"
             break
-        if to_node is None:
-            kind = "activate" if intent is None else "fire"
-            append(TraceEvent(sim.step, kind, robot, from_node, None, canon, tag, sim.round))
+        append(event)
+        if event.to_node is None:
             continue
-        canon, tag = _trace_fields(sim.occ)
-        append(TraceEvent(sim.step, "fire", robot, from_node, to_node, canon, tag, sim.round))
         # after a move, no robot can change the configuration again when
         # every occupied node's decision is Stay and no intent has a target
         if sim.table.count(()) == sim.width and sim.width > 1:

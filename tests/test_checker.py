@@ -378,6 +378,19 @@ class TestPinnedVerdicts:
         )
         assert all(verdicts.values())
 
+    @pytest.mark.parametrize("tag, bounded", [("BigBlock1_2", True), ("SplitS", True),
+                                              ("Terminal", False)])
+    def test_outdated_bound_only_in_phases_1_and_2(self, tag, bounded):
+        # the same run with every event's tag recorded as one of Phase 1, 2
+        # or 3: the bound reads the recorded phase, and holds in Phase 3
+        trace = run(RingConfig.from_string("..11.11..11.11.11"), builtin_scheduler("lazy", 0))
+        trace.events = [ev._replace(tag=tag) for ev in trace.events]
+        expected = Verdict.ok()
+        if bounded:
+            expected = Verdict.fail(6, "2 outdated robots with incorrect targets",
+                                    "..1.11.11..11.111")
+        assert check_outdated_bound(trace) == expected
+
     def test_tower_before_target(self):
         trace = run(RingConfig.from_string(".1.1.11.1111.11"), builtin_scheduler("lazy", 0))
         verdicts = check_trace(trace)

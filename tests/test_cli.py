@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ring_gather import cli
 from ring_gather.cli import main
 
 
@@ -276,3 +277,21 @@ def test_verify_quick_grid(tmp_path, capsys):
     assert "checks" in report and "stats" in report
     assert report["checks"]["round_bound"]["failed"] == 0
     assert code == 0
+
+
+def test_verify_passes_only_the_counts_it_is_given(monkeypatch):
+    # unset, --random-seeds, --lazy-seeds and --c take run_verification's
+    # own defaults, which the command does not restate
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return {"checks": {}, "passed": True}
+
+    monkeypatch.setattr(cli, "run_verification", record)
+    assert main(["verify", "--out", os.devnull]) == 0
+    assert main(["verify", "--random-seeds", "3", "--lazy-seeds", "0", "--c", "7",
+                 "--out", os.devnull]) == 0
+    unset, given = calls
+    assert not {"grids", "random_seeds", "lazy_seeds", "c"} & set(unset)
+    assert (given["random_seeds"], given["lazy_seeds"], given["c"]) == (3, 0, 7)

@@ -44,6 +44,8 @@ def _state(sim):
         sim.step,
         list(sim.pending),
         tuple(sim.occ),
+        sim.canon,
+        sim.tag,
         list(sim.positions),
         sim.round,
         sim.round_start,
@@ -146,6 +148,17 @@ class TestStep:
             with pytest.raises(NoRuleError):
                 sim.apply(robot)
         assert _state(sim) == before
+
+    def test_apply_returns_the_recorded_event(self):
+        # each pinned run's actions, fed to a fresh simulator, give back
+        # the run's events: `apply` records its own action
+        for occ in TRACE_DIGESTS:
+            for name, seed in DIGEST_SCHEDULES:
+                cfg = RingConfig.from_string(occ)
+                trace = run(cfg, builtin_scheduler(name, seed))
+                sim = _Sim(cfg)
+                events = [sim.apply(ev.robot, ev.to_node) for ev in trace.events]
+                assert events == trace.events, (occ, name, seed)
 
     def test_round_counts_when_every_robot_cycled(self):
         sim = _Sim(BLOCK_15)
