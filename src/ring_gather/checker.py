@@ -44,7 +44,6 @@ from .simulate import (
     Trace,
     _start_positions,
     builtin_scheduler,
-    intent_is_incorrect,
     run,
     validate_params,
 )
@@ -113,10 +112,14 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     it, else at the first event that disagrees with it, such as one naming
     a robot outside 0…k−1 or a `from` node its robot is not on, and stops
     there; the checks that read only recorded fields go on.
-    At most one pending intent may be incorrect (`intent_is_incorrect`) in
-    Phases 1 and 2; a fresh intent equals the fresh decision and a Stay is
-    never incorrect, so the count is redone only after an intent with a
-    target fires or a decision finds no rule.
+    An activation whose robot has no rule fails the replay, as `run` ends
+    `Stuck` there and records no event, so every pending intent is a target
+    tuple.  A pending robot is outdated once another robot has moved since
+    its activation, and its intent is incorrect when it has a target that
+    differs from the robot's entry in the current decision table; a fresh
+    "no rule" differs from every tuple.  At most one intent may be incorrect
+    in Phases 1 and 2.  A fresh intent equals the fresh decision and a Stay
+    is never incorrect, so the count is redone only after a move.
 
     Per move, the replay looks up its occupancy's decision table once.  The
     checks of the recorded fields run only on an event whose `(occ, tag)`
@@ -124,7 +127,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     cannot change.
     """
     n, k = trace.n, trace.k
-    pending: dict[int, object] = {}  # robot -> its targets or _NO_RULE
+    pending: dict[int, tuple[int, ...]] = {}  # robot -> its targets
     incorrect, recount = 0, False
     tower = periodic = outdated = monotonic = replay = None
     occ, mismatch = _parse_recorded(trace.initial)
@@ -173,9 +176,10 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 mismatch = "robot is not on its from node"
             elif dst is not None:
                 mismatch = "activate with a target node"
+            elif table[src] is _NO_RULE:
+                mismatch = "activate with no rule"
             else:
-                target = pending[robot] = table[src]
-                recount |= target is _NO_RULE
+                pending[robot] = table[src]
         elif kind == "fire":
             if robot not in pending:
                 mismatch = "fire without intent"
@@ -186,7 +190,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                 if dst is None:
                     if target:
                         mismatch = "intent to move fired as stay"
-                elif target is _NO_RULE or dst not in target:
+                elif dst not in target:
                     mismatch = "fired move differs from intent"
                 else:
                     occ = _move_one(occ, src, dst)
@@ -207,8 +211,8 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
             elif phase in _BOUNDED_PHASES and len(pending) > 1:
                 if recount:
                     incorrect = sum(
-                        intent_is_incorrect(occ, positions[robot], target)
-                        for robot, target in pending.items()
+                        1 for robot, target in pending.items()
+                        if target and table[positions[robot]] != target
                     )
                     recount = False
                 if incorrect > 1:

@@ -40,7 +40,6 @@ from .protocol import (
     NoRuleError,
     Phase,
     Tag,
-    _decide,
     _decisions,
     _trace_fields,
     classify_protocol_state,
@@ -56,32 +55,16 @@ class PendingIntent(NamedTuple):
     (`protocol.decide_targets`) gave them: ``()`` for Stay, one node, or two
     when the robot's two directions look equally good and the scheduler
     decides.
-    The robot is *outdated* once another robot has moved since its snapshot,
-    and has an *incorrect target* when a fresh computation on the current
-    configuration would decide differently (see `intent_is_incorrect`).
+    The robot is *outdated* once another robot has moved since its
+    snapshot, and has an *incorrect target* when its target is not Stay and
+    differs from its decision on the current configuration (a decision
+    with no rule counts as different).  A pending Stay is never incorrect:
+    firing it changes nothing and the robot then re-observes.
     """
 
     snapshot_step: int
     snapshot_occ: tuple[int, ...]
     target: tuple[int, ...]
-
-
-def intent_is_incorrect(occ: tuple[int, ...], node: int, target) -> bool:
-    """Whether a pending intent of the robot on `node`, its target tuple
-    (or `protocol._NO_RULE`), differs from a fresh decision on the
-    occupancy `occ`.
-
-    A pending Stay is never incorrect: firing it changes nothing and the
-    robot then re-observes, so only intents with a target destination can
-    be outdated with an incorrect target.  A fresh decision with no
-    applicable rule counts as incorrect.
-    """
-    if not target:
-        return False
-    try:
-        return _decide(occ, node) != target
-    except NoRuleError:
-        return True
 
 
 def _start_positions(occ: tuple[int, ...]) -> list[int]:
@@ -178,9 +161,6 @@ class _Sim:
         self.width += (occ[target] == 1) - (occ[node] == 0)
         self.positions[robot] = target
         return _new(TraceEvent, (step, "fire", robot, node, target, canon, tag, self.round))
-
-    def gathered(self) -> bool:
-        return self.width == 1
 
 
 class TraceEvent(NamedTuple):
@@ -299,21 +279,6 @@ class Scheduler:
         raise NotImplementedError
 
 
-def _idle_robots(sim: _Sim):
-    return [r for r in range(sim.k) if sim.pending[r] is None]
-
-
-def _pending_robots(sim: _Sim):
-    return [r for r in range(sim.k) if sim.pending[r] is not None]
-
-
-def _enabled_idle(sim: _Sim):
-    """Idle robots whose decision is not Stay; a robot with no rule counts,
-    so activating it ends the run `Stuck`."""
-    table, positions = sim.table, sim.positions
-    return [r for r in _idle_robots(sim) if table[positions[r]]]
-
-
 class SynchronousScheduler(Scheduler):
     """Fully synchronous rounds: every robot takes its snapshot, then every
     robot fires, in id order.  Both members of a symmetric pair always move
@@ -385,15 +350,26 @@ class LazyScheduler(_SeededScheduler):
     name = "lazy"
 
     def propose(self, sim: _Sim) -> int:
-        enabled = _enabled_idle(sim)
+        table, positions = sim.table, sim.positions
+        enabled, idle, newest, newest_step = [], [], None, 0
+        for robot, intent in enumerate(sim.pending):
+            if intent is not None:
+                # snapshot steps are distinct and at least 1: every
+                # activation has its own step
+                if intent.snapshot_step > newest_step:
+                    newest, newest_step = robot, intent.snapshot_step
+            elif table[positions[robot]]:
+                # not Stay; a robot with no rule counts, so activating it
+                # ends the run `Stuck`
+                enabled.append(robot)
+            else:
+                idle.append(robot)
         if enabled:
             return self._rng.choice(enabled)
-        pending = _pending_robots(sim)
-        if pending:
-            # snapshot steps are distinct: every activation has its own step
-            return max(pending, key=lambda r: sim.pending[r].snapshot_step)
+        if newest is not None:
+            return newest
         # nobody enabled, nothing pending: cycle an arbitrary idle robot
-        return self._rng.choice(_idle_robots(sim))
+        return self._rng.choice(idle)
 
 
 def builtin_scheduler(name: str, seed: int | None = None) -> Scheduler:

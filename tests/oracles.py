@@ -255,7 +255,7 @@ class _Replay:
         self.positions = []
         for node, count in enumerate(self.occ):
             self.positions += [node] * count
-        self.pending: dict[int, object] = {}  # robot -> target
+        self.pending: dict[int, tuple] = {}  # robot -> target
 
     def play(self):
         """Yield (event, mismatch) pairs; mismatch is None or a string."""
@@ -270,15 +270,20 @@ class _Replay:
             elif self.positions[ev.robot] != ev.from_node:
                 mismatch = "robot is not on its from node"
             elif ev.kind == "activate":
-                self.pending[ev.robot] = self._decide(ev.from_node)
+                target = self._decide(ev.from_node)
                 if ev.to_node is not None:
                     mismatch = "activate with a target node"
+                elif target == "no-rule":
+                    # a run ends Stuck here and records no event
+                    mismatch = "activate with no rule"
+                else:
+                    self.pending[ev.robot] = target
             else:
                 target = self.pending.pop(ev.robot)
                 if ev.to_node is None:
                     if target != ():
                         mismatch = "intent to move fired as stay"
-                elif not isinstance(target, tuple) or ev.to_node not in target:
+                elif ev.to_node not in target:
                     mismatch = "fired move differs from intent"
                 else:
                     self.occ[ev.from_node] -= 1
@@ -302,8 +307,7 @@ class _Replay:
         for robot, target in self.pending.items():
             if target == ():
                 continue
-            fresh = self._decide(self.positions[robot])
-            if fresh == "no-rule" or fresh != target:
+            if self._decide(self.positions[robot]) != target:
                 bad.append(robot)
         return bad
 

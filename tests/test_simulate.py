@@ -22,7 +22,6 @@ from ring_gather.simulate import (
     PendingIntent,
     Scheduler,
     _Sim,
-    intent_is_incorrect,
     read_trace,
     write_trace,
 )
@@ -91,7 +90,7 @@ class TestStep:
         occ = tuple(sim.occ)
         assert intent.snapshot_occ != occ  # outdated
         # the catch-up move agrees with a fresh decision
-        assert not intent_is_incorrect(occ, sim.positions[b], intent.target)
+        assert decide_targets(RingConfig(sim.n, occ), sim.positions[b]) == intent.target
         sim.apply(b)
         assert sim.occ[5] == 2  # tower on the axis node
 
@@ -108,8 +107,9 @@ class TestStep:
         occ = tuple(sim.occ)
         assert intent.target == () and sim.positions[2] == 7
         assert decide_targets(RingConfig(sim.n, sim.occ), 7) == (6,)
-        assert intent.snapshot_occ != occ  # outdated
-        assert not intent_is_incorrect(occ, 7, intent.target)
+        assert intent.snapshot_occ != occ  # outdated, with a Stay target
+        sim.apply(2)
+        assert sim.occ == occ and sim.pending[2] is None
 
     @pytest.mark.parametrize(
         "setup, action, reason",
@@ -370,7 +370,7 @@ class TestAnonymity:
         assert all(a != b for a, b in zip(s1.positions, s2.positions))
         sched = builtin_scheduler("synchronous")
         waves = 0
-        while not s1.gathered():
+        while s1.width > 1:
             for sim in (s1, s2):
                 for r in range(sim.k):
                     sim.apply(r)
@@ -381,7 +381,7 @@ class TestAnonymity:
                     sim.apply(r, direction)
             assert s1.occ == s2.occ
             waves += 1
-        assert s2.gathered() and waves > 1
+        assert s2.width == 1 and waves > 1
 
 
 DIGEST_SCHEDULES = [("synchronous", None), ("random", 3), ("lazy", 0)]
