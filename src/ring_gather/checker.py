@@ -111,7 +111,9 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     is unreadable (`_parse_recorded`) or the header's n or k differs from
     it, else at the first event that disagrees with it, such as one naming
     a robot outside 0…k−1 or a `from` node its robot is not on, and stops
-    there; the checks that read only recorded fields go on.
+    there; the checks that read only recorded fields go on.  The replay
+    confirms each event's `occ`, then its `tag`, but not its `step` or
+    `round`, nor the footer's `rounds`.
     An activation whose robot has no rule fails the replay, as `run` ends
     `Stuck` there and records no event, so every pending intent is a target
     tuple.  A pending robot is outdated once another robot has moved since
@@ -124,7 +126,8 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     Per move, the replay looks up its occupancy's decision table once.  The
     checks of the recorded fields run only on an event whose `(occ, tag)`
     differs from the previous event's: on the same pair their verdicts
-    cannot change.
+    cannot change.  The replay compares its pair with the recorded one only
+    then or after a move: else both equal the previous event's.
     """
     n, k = trace.n, trace.k
     pending: dict[int, tuple[int, ...]] = {}  # robot -> its targets
@@ -134,7 +137,7 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     if mismatch is None and (len(occ), sum(occ)) != (n, k):
         mismatch = "header n or k differs from initial"
     if mismatch is None:
-        canon, table = _trace_fields(occ)[0], _decisions(occ)
+        (canon, canon_tag), table = _trace_fields(occ), _decisions(occ)
         positions = _start_positions(occ)
     else:
         replay = Verdict.fail(0, mismatch, trace.initial)
@@ -143,7 +146,8 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
     seen: set[str] = set()
     last_occ = last_tag = object()  # equal to no recorded field
     for step, kind, robot, src, dst, occ_s, tag, _round in trace.events:
-        if occ_s != last_occ or tag != last_tag:
+        changed = occ_s != last_occ or tag != last_tag
+        if changed:
             last_occ, last_tag = occ_s, tag
             phase = _PHASES.get(tag)
             towerless = _TOWERLESS.issuperset(occ_s)
@@ -194,13 +198,16 @@ def check_trace(trace: Trace) -> dict[str, Verdict]:
                     mismatch = "fired move differs from intent"
                 else:
                     occ = _move_one(occ, src, dst)
-                    canon, table = _trace_fields(occ)[0], _decisions(occ)
+                    (canon, canon_tag), table = _trace_fields(occ), _decisions(occ)
                     positions[robot] = dst
-                    recount = True
+                    recount = changed = True
         else:
             mismatch = f"unknown event kind {kind!r}"
-        if mismatch is None and canon != occ_s:
-            mismatch = "occupancy diverged from recording"
+        if mismatch is None and changed:
+            if canon != occ_s:
+                mismatch = "occupancy diverged from recording"
+            elif canon_tag != tag:
+                mismatch = "tag diverged from recording"
         if mismatch is not None:
             replay = Verdict.fail(step, mismatch, occ_s)
             if outdated is None:
@@ -235,7 +242,7 @@ def _parse_recorded(text: str) -> tuple[tuple[int, ...] | None, str | None]:
 
 
 def replay_trace(trace: Trace) -> Verdict:
-    """Re-execute a trace and confirm every recorded occupancy string."""
+    """Re-execute a trace and confirm every recorded occupancy string and tag."""
     return check_trace(trace)["replay"]
 
 

@@ -24,7 +24,6 @@ from .simulate import (
     InvalidStartError,
     builtin_scheduler,
     run,
-    validate_params,
     write_trace,
 )
 from .checker import enumerate_initial_configs, run_verification
@@ -94,15 +93,14 @@ def cmd_verify(args) -> int:
         raise SystemExit("verify needs both --n and --k, or neither")
     grids = {}  # run_verification's default grids
     if args.n is not None:
-        try:
-            validate_params(args.n, args.k)
-        except InvalidStartError as exc:
-            raise SystemExit(str(exc))
         grids = {"grids": ((args.n, args.k),)}
     # a count or constant left unset takes run_verification's default
     given = {name: getattr(args, name) for name in ("random_seeds", "lazy_seeds", "c")
              if getattr(args, name) is not None}
-    report = run_verification(**grids, **given, max_steps=args.max_steps, jobs=args.jobs)
+    try:
+        report = run_verification(**grids, **given, max_steps=args.max_steps, jobs=args.jobs)
+    except InvalidStartError as exc:  # the grid's (n, k), before any run
+        raise SystemExit(str(exc))
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

@@ -174,30 +174,22 @@ class TraceEvent(NamedTuple):
     round: int
 
 
-class Trace:
+class Trace(NamedTuple):
     """Record of one run: enough to replay it and to check every lemma.
 
     `outcome` is "Gathered", "StepLimit" or "Stuck"; `initial` is the raw
-    occupancy string of the start configuration.  Two traces are equal
-    when all their fields are."""
+    occupancy string of the start configuration.  A trace is edited by
+    `_replace`, and two traces are equal when all their fields are."""
 
-    def __init__(self, n: int, k: int, scheduler: str, seed: int | None,
-                 fairness_bound: int, initial: str, events: list[TraceEvent] | None = None,
-                 outcome: str = "StepLimit", rounds: int = 0):
-        self.n = n
-        self.k = k
-        self.scheduler = scheduler
-        self.seed = seed
-        self.fairness_bound = fairness_bound
-        self.initial = initial
-        self.events = [] if events is None else events
-        self.outcome = outcome
-        self.rounds = rounds
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
+    n: int
+    k: int
+    scheduler: str
+    seed: int | None
+    fairness_bound: int
+    initial: str
+    events: list[TraceEvent]
+    outcome: str
+    rounds: int
 
     def to_jsonl(self) -> str:
         lines = [json.dumps({field: getattr(self, field) for field in _HEADER})]
@@ -221,10 +213,9 @@ class Trace:
         lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if len(lines) < 2:
             raise ValueError("a trace needs a header line and a footer line")
-        trace = cls(*_fields(*lines[0], _HEADER))
-        trace.events = [TraceEvent(*_fields(*line, _EVENT)) for line in lines[1:-1]]
-        trace.outcome, trace.rounds = _fields(*lines[-1], _FOOTER)
-        return trace
+        header = _fields(*lines[0], _HEADER)
+        events = [TraceEvent(*_fields(*line, _EVENT)) for line in lines[1:-1]]
+        return cls(*header, events, *_fields(*lines[-1], _FOOTER))
 
 
 # each stored line's fields, in `Trace` and `TraceEvent` order, and their JSON types
@@ -458,28 +449,20 @@ def run(
     if bound < 2 * sim.k:
         # every robot must finish a 2-action cycle within any `bound` actions
         raise ValueError(f"fairness bound {bound} < 2k = {2 * sim.k}: no run can honour it")
-    seed = getattr(scheduler, "seed", None)
-    trace = Trace(
-        n=initial.n,
-        k=sim.k,
-        scheduler=scheduler.name,
-        seed=seed,
-        fairness_bound=bound,
-        initial=initial.to_string(),
-    )
     scheduler.start(sim)
     # a robot must be able to finish its cycle (2 actions) plus let already
     # starved peers flush theirs before the bound trips
     patience = bound - 2 * sim.k
     k, pending, last_cycle = sim.k, sim.pending, sim.last_cycle
-    apply, propose, append = sim.apply, scheduler.propose, trace.events.append
+    events: list[TraceEvent] = []
+    apply, propose, append = sim.apply, scheduler.propose, events.append
     while True:
         if sim.width == 1:
-            trace.outcome = "Gathered"
+            outcome = "Gathered"
             break
         step = sim.step
         if step >= max_steps:
-            trace.outcome = "StepLimit"
+            outcome = "StepLimit"
             break
         robot = next(iter(last_cycle))  # the most starved robot
         if step - last_cycle[robot] < patience:
@@ -494,7 +477,7 @@ def run(
         except NoRuleError:
             # a state outside the protocol's rule set was reached; the
             # checker treats any Stuck outcome as a failure
-            trace.outcome = "Stuck"
+            outcome = "Stuck"
             break
         append(event)
         if event.to_node is None:
@@ -503,10 +486,10 @@ def run(
         # every occupied node's decision is Stay and no intent has a target
         if sim.table.count(()) == sim.width and sim.width > 1:
             if all(p is None or not p.target for p in pending):
-                trace.outcome = "Stuck"
+                outcome = "Stuck"
                 break
-    trace.rounds = sim.round
-    return trace
+    return Trace(initial.n, k, scheduler.name, getattr(scheduler, "seed", None), bound,
+                 initial.to_string(), events, outcome, sim.round)
 
 
 def write_trace(trace: Trace, path) -> None:

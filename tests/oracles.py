@@ -8,7 +8,7 @@ Two sections are exceptions. The per-robot decision path, the reference
 for `protocol._decisions`, runs the rule engine's class moves from each
 robot's own view. The trace checks as five separate walkers with their own
 replay, the reference for `checker.check_trace`, call the rule engine for
-decisions and phases, but none of the single-pass code.
+decisions, tags and phases, but none of the single-pass code.
 """
 
 from itertools import combinations
@@ -20,6 +20,7 @@ from ring_gather.protocol import (
     Phase,
     Tag,
     _class_state,
+    classify_protocol_state,
     decide_targets,
     phase_of,
 )
@@ -244,9 +245,9 @@ def _reading(occ, node, step):
 
 class _Replay:
     """Walk a trace, maintaining the configuration, each robot's node and
-    the pending intents, and verify that each recorded canonical occupancy
-    matches.  Robot i starts on the i-th robot's node, counting the robots
-    node by node from node 0."""
+    the pending intents, and verify each recorded canonical occupancy and
+    tag.  Robot i starts on the i-th robot's node, counting the robots node
+    by node from node 0."""
 
     def __init__(self, trace: Trace):
         self.trace = trace
@@ -291,7 +292,12 @@ class _Replay:
                     self.positions[ev.robot] = ev.to_node
             if _canonical(tuple(self.occ)) != ev.occ:
                 mismatch = mismatch or "occupancy diverged from recording"
+            elif mismatch is None and self._tag() != ev.tag:
+                mismatch = "tag diverged from recording"
             yield ev, mismatch
+
+    def _tag(self):
+        return classify_protocol_state(RingConfig(self.n, tuple(self.occ))).tag.value
 
     def _decide(self, node):
         try:
@@ -313,7 +319,7 @@ class _Replay:
 
 
 def replay_trace(trace: Trace) -> Verdict:
-    """Re-execute a trace and confirm every recorded occupancy string."""
+    """Re-execute a trace and confirm every recorded occupancy string and tag."""
     replay = _Replay(trace)
     for ev, mismatch in replay.play():
         if mismatch:

@@ -159,7 +159,7 @@ class TestTraceChecks:
 
     def test_replay_detects_tampering(self):
         trace = run(TERMINAL_15, builtin_scheduler("random", 2))
-        tampered = Trace(**{**trace.__dict__, "events": list(trace.events)})
+        tampered = trace._replace(events=list(trace.events))
         ev = tampered.events[len(tampered.events) // 2]
         tampered.events[len(tampered.events) // 2] = ev._replace(
             occ=ev.occ.replace("1", ".", 1)
@@ -171,7 +171,7 @@ def with_event(trace, index, **fields):
     """A copy of `trace` with fields of one event replaced."""
     events = list(trace.events)
     events[index] = events[index]._replace(**fields)
-    return Trace(**{**trace.__dict__, "events": events})
+    return trace._replace(events=events)
 
 
 def reference_verdicts(trace):
@@ -199,7 +199,7 @@ class TestLocalGlobalConsistency:
         # rule moves (BigBlock1_2) while no robot's view has a rule.  The
         # check reads only the start and the events of this stored trace.
         trace = Trace(n=7, k=3, scheduler="synchronous", seed=None, fairness_bound=12,
-                      initial="..1..11", outcome="Stuck")
+                      initial="..1..11", events=[], outcome="Stuck", rounds=0)
         assert trace.events == []
         verdict = check_local_global_consistency(trace)
         assert not verdict.passed
@@ -214,7 +214,7 @@ class TestLocalGlobalConsistency:
             ({"initial": "11111.1111!...."}, "bad occupancy character '!'"),
             ({"initial": "", "n": 0, "k": 0}, "occupancy has no robot"),
         ]:
-            tampered = Trace(**{**trace.__dict__, **fields})
+            tampered = trace._replace(**fields)
             assert check_local_global_consistency(tampered) == Verdict.fail(
                 0, description, tampered.initial
             )
@@ -276,13 +276,13 @@ class TestReplayRobustness:
         trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
         first = next(i for i, ev in enumerate(trace.events) if ev.robot == 3)
         events = [ev._replace(robot=99) if ev.robot == 3 else ev for ev in trace.events]
-        tampered = Trace(**{**trace.__dict__, "events": events})
+        tampered = trace._replace(events=events)
         self.assert_replay_fails(tampered, first, "no such robot")
 
     @pytest.mark.parametrize("field, value", [("n", 17), ("k", 12)])
     def test_header_that_differs_from_initial(self, field, value):
         trace = run(RingConfig.from_string("11111.11111...."), builtin_scheduler("random", 1))
-        tampered = Trace(**{**trace.__dict__, field: value})
+        tampered = trace._replace(**{field: value})
         description = "header n or k differs from initial"
         assert replay_trace(tampered) == Verdict.fail(0, description, trace.initial)
         assert check_outdated_bound(tampered) == Verdict.fail(
@@ -296,7 +296,7 @@ class TestReplayRobustness:
             ({"initial": "11111.1111!...."}, "bad occupancy character '!'"),
             ({"initial": "", "n": 0, "k": 0}, "occupancy has no robot"),
         ]:
-            tampered = Trace(**{**trace.__dict__, **fields})
+            tampered = trace._replace(**fields)
             verdicts = check_trace(tampered)
             assert verdicts["replay"] == Verdict.fail(0, description, tampered.initial)
             assert verdicts["outdated_bound"] == Verdict.fail(
@@ -377,15 +377,18 @@ class TestPinnedVerdicts:
     @pytest.mark.parametrize("tag, bounded", [("BigBlock1_2", True), ("SplitS", True),
                                               ("Terminal", False)])
     def test_outdated_bound_only_in_phases_1_and_2(self, tag, bounded):
-        # the same run with every event's tag recorded as one of Phase 1, 2
-        # or 3: the bound reads the recorded phase, and holds in Phase 3
+        # no run has two incorrect intents in Phase 3 (none of every class of
+        # (15, 10) and (17, 10) under random and lazy seeds 0-3), so the
+        # bounded phases are pinned; a run with every tag forged to one of
+        # Phase 1, 2 or 3 fails the replay at its first forged tag instead
+        assert checker._BOUNDED_PHASES == {protocol.Phase.PHASE1, protocol.Phase.PHASE2}
+        assert (protocol.PHASES[Tag(tag)] in checker._BOUNDED_PHASES) is bounded
         trace = run(RingConfig.from_string("..11.11..11.11.11"), builtin_scheduler("lazy", 0))
-        trace.events = [ev._replace(tag=tag) for ev in trace.events]
-        expected = Verdict.ok()
-        if bounded:
-            expected = Verdict.fail(6, "2 outdated robots with incorrect targets",
-                                    "..1.11.11..11.111")
-        assert check_outdated_bound(trace) == expected
+        forged = trace._replace(events=[ev._replace(tag=tag) for ev in trace.events])
+        ev = next(ev for ev in trace.events if ev.tag != tag)
+        assert check_outdated_bound(forged) == Verdict.fail(
+            ev.step, "replay failed: tag diverged from recording", ev.occ
+        )
 
     def test_tower_before_target(self):
         trace = run(RingConfig.from_string(".1.1.11.1111.11"), builtin_scheduler("lazy", 0))
@@ -396,6 +399,21 @@ class TestPinnedVerdicts:
         )
         assert verdicts.pop("outdated_bound") == Verdict.fail(27, "unknown state reached", occ)
         assert verdicts.pop("phase_monotonic") == Verdict.fail(27, "unknown state reached", occ)
+        assert all(verdicts.values())
+
+    def test_tags_forged_as_target(self):
+        # the same run with every tag recorded as Target: its recorded fields
+        # show no tower before Phase 3 and no unknown state, so only the
+        # replay, which confirms each tag, tells the forgery
+        trace = run(RingConfig.from_string(".1.1.11.1111.11"), builtin_scheduler("lazy", 0))
+        forged = trace._replace(events=[ev._replace(tag="Target") for ev in trace.events])
+        verdicts = check_trace(forged)
+        assert verdicts == reference_verdicts(forged)
+        ev = forged.events[0]
+        assert verdicts.pop("replay") == Verdict.fail(ev.step, "tag diverged from recording", ev.occ)
+        assert verdicts.pop("outdated_bound") == Verdict.fail(
+            ev.step, "replay failed: tag diverged from recording", ev.occ
+        )
         assert all(verdicts.values())
 
 
@@ -454,7 +472,7 @@ class TestSinglePassMatchesReference:
             field = rng.choice(["drop", *new_value])
             if field == "drop":
                 events = trace.events[:index] + trace.events[index + 1 :]
-                tampered = Trace(**{**trace.__dict__, "events": events})
+                tampered = trace._replace(events=events)
             else:
                 tampered = with_event(trace, index, **{field: new_value[field](trace)})
             want = reference_verdicts(tampered)
@@ -470,13 +488,15 @@ class TestSinglePassMatchesReference:
             "intent to move fired as stay",
             "unknown event kind 'look'",
             "occupancy diverged from recording",
+            "tag diverged from recording",
         }
 
     def test_tag_changed_on_a_repeated_occupancy(self, traces_15):
         # the checks of the recorded fields skip an event whose (occ, tag)
         # repeats the previous event's; one that keeps the occupancy but
         # changes its tag is judged anew: first in any phase, then after
-        # Phase 3, where a Phase-1 tag falls back
+        # Phase 3, where a Phase-1 tag falls back.  The replay refuses the
+        # changed tag there.
         falls_back = 0
         for trace in traces_15[::11]:  # 70 runs, each schedule 10 times
             events = trace.events
@@ -491,12 +511,32 @@ class TestSinglePassMatchesReference:
                     tampered = with_event(trace, index, tag=tag)
                     want = reference_verdicts(tampered)
                     assert check_trace(tampered) == want, (trace.initial, trace.scheduler, index)
+                    if tag != events[index].tag:
+                        assert want["replay"] == Verdict.fail(
+                            events[index].step, "tag diverged from recording", events[index].occ
+                        )
                     if tag == "BigBlock2" and index > p3:
                         assert want["phase_monotonic"] == Verdict.fail(
                             events[index].step, "fell back to BigBlock2", events[index].occ
                         )
                         falls_back += 1
         assert falls_back == 70  # every sampled run reaches Phase 3
+
+    def test_move_recorded_with_the_previous_pair(self, traces_15):
+        # the replay compares its (occ, tag) with the recorded pair only when
+        # that pair changed or the replay moved a robot; a move recorded with
+        # the previous event's pair is refused at the move
+        for trace in traces_15[::11]:
+            events = trace.events
+            index = next(i for i in range(1, len(events))
+                         if events[i].to_node is not None and events[i].occ != events[i - 1].occ)
+            prev = events[index - 1]
+            tampered = with_event(trace, index, occ=prev.occ, tag=prev.tag)
+            want = reference_verdicts(tampered)
+            assert check_trace(tampered) == want, (trace.initial, trace.scheduler, index)
+            assert want["replay"] == Verdict.fail(
+                events[index].step, "occupancy diverged from recording", prev.occ
+            )
 
     def test_stay_fire_dropped_or_turned_into_a_move(self, traces_15):
         # the outdated-robot count is not redone after a Stay fires, since a
@@ -515,7 +555,7 @@ class TestSinglePassMatchesReference:
                 ev = trace.events[index]
                 dropped = trace.events[:index] + trace.events[index + 1 :]
                 for tampered in (
-                    Trace(**{**trace.__dict__, "events": dropped}),
+                    trace._replace(events=dropped),
                     with_event(trace, index, to_node=(ev.from_node + 1) % trace.n),
                 ):
                     want = reference_verdicts(tampered)
